@@ -26,7 +26,7 @@ from .data import (
     sample_macrobatch,
     take,
 )
-from .gradvec import GradVec, as_gradvec, axpy, cosine_distance, dot, l2_norm, scale
+from .gradvec import GradVec, as_gradvec, cosine_distance, dot, l2_norm
 from .models import (
     ModelSpec,
     Params,
@@ -35,7 +35,6 @@ from .models import (
     loss_and_grad,
     predict,
     unflatten,
-    unflatten_like,
 )
 from .optim import OptimState, SchedState, init_optim, plateau_update, sgd_step, skip_step
 from .sim import (
@@ -47,7 +46,6 @@ from .sim import (
     run_detailed,
 )
 from .telemetry import (
-    RollingSeries,
     StepRecord,
     read_records,
     rolling_mean,
@@ -76,11 +74,9 @@ __all__ = [
     "take",
     "GradVec",
     "as_gradvec",
-    "axpy",
     "cosine_distance",
     "dot",
     "l2_norm",
-    "scale",
     "ModelSpec",
     "Params",
     "accuracy",
@@ -88,7 +84,6 @@ __all__ = [
     "loss_and_grad",
     "predict",
     "unflatten",
-    "unflatten_like",
     "OptimState",
     "SchedState",
     "init_optim",
@@ -101,7 +96,6 @@ __all__ = [
     "measure_pairwise_distance_trend",
     "run",
     "run_detailed",
-    "RollingSeries",
     "StepRecord",
     "read_records",
     "rolling_mean",

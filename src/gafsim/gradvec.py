@@ -75,19 +75,3 @@ def cosine_distance(a: GradVec, b: GradVec) -> float:
     d = 1.0 - dot(a, b) / (na * nb)
     return min(max(d, 0.0), 2.0)
 
-
-def axpy(acc: GradVec, x: GradVec) -> GradVec:
-    """In-place accumulate: acc += x. Returns acc."""
-    _check_dims(acc, x)
-    acc += x
-    if not np.all(np.isfinite(acc)):
-        raise ValueError("non-finite accumulation result")
-    return acc
-
-
-def scale(a: GradVec, s: float) -> GradVec:
-    """Elementwise product a * s as a new vector."""
-    out = a * float(s)
-    if not np.all(np.isfinite(out)):
-        raise ValueError("non-finite scaling result")
-    return out

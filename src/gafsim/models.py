@@ -9,7 +9,7 @@ vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,61 +60,51 @@ class ModelSpec:
 
 @dataclass
 class Params:
-    """Per-layer (weight, bias) arrays with exact flatten/unflatten."""
+    """All parameters as one flat float64 vector.
 
-    layers: list[tuple[np.ndarray, np.ndarray]]
+    `layers` holds per-layer (weight, bias) views into `flat`, in flatten
+    order, so the model reads the vector in place and an optimizer step
+    only ever builds a new vector.
+    """
+
+    flat: GradVec
+    shapes: list[tuple[tuple[int, int], tuple[int]]]
+    layers: list[tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.layers = []
+        offset = 0
+        for (rows, cols), (n_bias,) in self.shapes:
+            w = self.flat[offset : offset + rows * cols].reshape(rows, cols)
+            offset += rows * cols
+            self.layers.append((w, self.flat[offset : offset + n_bias]))
+            offset += n_bias
+        if offset != self.flat.shape[0]:
+            raise ValueError(f"flat vector has {self.flat.shape[0]} entries, expected {offset}")
 
     @property
     def total_dim(self) -> int:
-        return sum(w.size + b.size for w, b in self.layers)
+        return self.flat.shape[0]
 
     def flatten(self) -> GradVec:
-        chunks = []
-        for w, b in self.layers:
-            chunks.append(w.ravel())
-            chunks.append(b)
-        return np.concatenate(chunks)
-
-    def copy(self) -> "Params":
-        return Params([(w.copy(), b.copy()) for w, b in self.layers])
-
-
-def _unflatten_shapes(flat: GradVec, shapes) -> Params:
-    layers = []
-    offset = 0
-    for w_shape, b_shape in shapes:
-        w_size = w_shape[0] * w_shape[1]
-        w = flat[offset : offset + w_size].reshape(w_shape).copy()
-        offset += w_size
-        b = flat[offset : offset + b_shape[0]].copy()
-        offset += b_shape[0]
-        layers.append((w, b))
-    if offset != flat.shape[0]:
-        raise ValueError(f"flat vector has {flat.shape[0]} entries, expected {offset}")
-    return Params(layers)
+        """A copy of the flat parameter vector."""
+        return self.flat.copy()
 
 
 def unflatten(flat: GradVec, spec: ModelSpec) -> Params:
     """Inverse of Params.flatten for the given architecture."""
-    return _unflatten_shapes(flat, spec.layer_shapes())
-
-
-def unflatten_like(flat: GradVec, params: Params) -> Params:
-    """Inverse of Params.flatten using an existing Params for the shapes."""
-    return _unflatten_shapes(flat, [(w.shape, b.shape) for w, b in params.layers])
+    return Params(np.array(flat, dtype=np.float64), spec.layer_shapes())
 
 
 def init_params(spec: ModelSpec) -> Params:
     """Deterministic initialization from spec.init_seed."""
-    rng = np.random.default_rng(spec.init_seed)
-    layers = []
-    for w_shape, b_shape in spec.layer_shapes():
-        if spec.init_sigma > 0:
-            w = rng.normal(0.0, spec.init_sigma, size=w_shape)
-        else:
-            w = np.zeros(w_shape)
-        layers.append((w, np.zeros(b_shape)))
-    return Params(layers)
+    shapes = spec.layer_shapes()
+    params = Params(np.zeros(sum(r * c + n for (r, c), (n,) in shapes)), shapes)
+    if spec.init_sigma > 0:
+        rng = np.random.default_rng(spec.init_seed)
+        for w, _ in params.layers:
+            w[...] = rng.normal(0.0, spec.init_sigma, size=w.shape)
+    return params
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:

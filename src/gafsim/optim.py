@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .gradvec import GradVec
-from .models import Params, unflatten_like
+from .models import Params
 
 
 @dataclass(frozen=True)
@@ -57,12 +57,10 @@ def init_optim(lr: float, momentum: float, dim: int) -> OptimState:
 
 def sgd_step(params: Params, grad: GradVec, opt: OptimState) -> tuple[Params, OptimState]:
     """velocity <- momentum * velocity + grad; params <- params - lr * velocity."""
-    flat = params.flatten()
-    if grad.shape != flat.shape:
-        raise ValueError(f"gradient dim {grad.shape[0]} does not match params {flat.shape[0]}")
+    if grad.shape != params.flat.shape:
+        raise ValueError(f"gradient dim {grad.shape[0]} does not match params {params.total_dim}")
     velocity = opt.momentum * opt.velocity + grad
-    new_flat = flat - opt.lr * velocity
-    new_params = unflatten_like(new_flat, params)
+    new_params = Params(params.flat - opt.lr * velocity, params.shapes)
     return new_params, replace(opt, velocity=velocity, step_count=opt.step_count + 1)
 
 

@@ -4,8 +4,8 @@ A worker is one microbatch gradient evaluation against an immutable
 snapshot of the parameters; there is no wire protocol. Every source of
 randomness (dataset generation, label noise, train/val split, per-step
 sampling, pivot draws, initialization) derives from master_seed through a
-splitmix64 chain, so runs are bit-reproducible no matter how many threads
-evaluate the micro-gradients.
+splitmix64 chain, and the k micro-gradients are evaluated one after another
+in worker order, so runs are bit-reproducible from master_seed alone.
 
 The validation split is carved from the generated dataset and always
 scored against clean labels, even when the training labels are noisy.
@@ -13,8 +13,6 @@ scored against clean labels, even when the training labels are noisy.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -92,6 +90,8 @@ class RunConfig:
             raise ValueError("val_fraction must be in (0, 1)")
         if self.eval_every < 1:
             raise ValueError("eval_every must be >= 1")
+        if self.pivot is not None and not 0 <= self.pivot < self.k:
+            raise ValueError(f"pivot {self.pivot} out of range [0, {self.k}) for k={self.k}")
 
     @property
     def macrobatch_size(self) -> int:
@@ -109,16 +109,6 @@ class RunResult:
     val_labels: np.ndarray  # clean labels
 
 
-def _resolve_threads(cfg: RunConfig, threads: int | None) -> int:
-    if threads is None:
-        env = os.environ.get("GAF_THREADS", "1")
-        try:
-            threads = int(env)
-        except ValueError:
-            raise ValueError(f"GAF_THREADS must be an integer, got {env!r}") from None
-    return max(1, min(threads, cfg.k))
-
-
 def _split(ds: Dataset, val_fraction: float, seed: int):
     perm = np.random.default_rng(seed).permutation(ds.n)
     n_val = round(val_fraction * ds.n)
@@ -127,9 +117,8 @@ def _split(ds: Dataset, val_fraction: float, seed: int):
     return take(ds, perm[n_val:]), ds.features[perm[:n_val]], ds.clean_labels[perm[:n_val]]
 
 
-def run_detailed(cfg: RunConfig, threads: int | None = None) -> RunResult:
+def run_detailed(cfg: RunConfig) -> RunResult:
     """Run the full loop and return records plus final state."""
-    threads = _resolve_threads(cfg, threads)
     master = cfg.master_seed
 
     ds = make_dataset(cfg.data, seed=derive_seed(master, _TAG_DATA))
@@ -144,89 +133,77 @@ def run_detailed(cfg: RunConfig, threads: int | None = None) -> RunResult:
         patience=cfg.patience, factor=cfg.lr_factor, min_lr=cfg.min_lr, min_delta=cfg.min_delta
     )
 
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     records: list[StepRecord] = []
     applied = 0
-    try:
-        for t in range(1, cfg.steps + 1):
-            batches = sample_macrobatch(
-                train, cfg.k, cfg.u, cfg.sampling, derive_seed(master, _TAG_STEP, t)
-            )
+    for t in range(1, cfg.steps + 1):
+        batches = sample_macrobatch(
+            train, cfg.k, cfg.u, cfg.sampling, derive_seed(master, _TAG_STEP, t)
+        )
+        try:
+            losses, grads = [], []
+            for mb in batches:
+                loss, grad = loss_and_grad(params, mb.features, mb.labels, spec, cfg.weight_decay)
+                losses.append(loss)
+                grads.append(grad)
+            train_loss = losses[0]
+            for v in losses[1:]:
+                train_loss += v
+            train_loss /= cfg.k
 
-            def eval_grad(mb, snapshot=params):
-                return loss_and_grad(snapshot, mb.features, mb.labels, spec, cfg.weight_decay)
-
-            try:
-                if pool is not None:
-                    results = list(pool.map(eval_grad, batches))
+            if cfg.aggregator == AGG_GAF:
+                gcfg = GafConfig(
+                    tau=cfg.tau, pivot=cfg.pivot, rng_seed=derive_seed(master, _TAG_PIVOT, t)
+                )
+                outcome = gaf_aggregate(grads, gcfg)
+                distances = outcome.pairwise_distances
+                accepted = outcome.accepted_count
+                skipped = outcome.skipped
+                if skipped:
+                    opt = skip_step(opt)
                 else:
-                    results = [eval_grad(mb) for mb in batches]
-                losses = [r[0] for r in results]
-                grads = [r[1] for r in results]
-                train_loss = losses[0]
-                for v in losses[1:]:
-                    train_loss += v
-                train_loss /= cfg.k
+                    params, opt = sgd_step(params, outcome.gradient, opt)
+            else:
+                distances = running_scan_distances(grads)
+                accepted = cfg.k
+                skipped = False
+                params, opt = sgd_step(params, average(grads), opt)
+        except ValueError as exc:
+            raise RuntimeError(f"training diverged at step {t}: {exc}") from exc
 
-                if cfg.aggregator == AGG_GAF:
-                    gcfg = GafConfig(
-                        tau=cfg.tau, pivot=cfg.pivot, rng_seed=derive_seed(master, _TAG_PIVOT, t)
-                    )
-                    outcome = gaf_aggregate(grads, gcfg)
-                    distances = outcome.pairwise_distances
-                    accepted = outcome.accepted_count
-                    skipped = outcome.skipped
-                    if skipped:
-                        opt = skip_step(opt)
-                    else:
-                        params, opt = sgd_step(params, outcome.gradient, opt)
-                else:
-                    distances = running_scan_distances(grads)
-                    accepted = cfg.k
-                    skipped = False
-                    params, opt = sgd_step(params, average(grads), opt)
-            except ValueError as exc:
-                raise RuntimeError(f"training diverged at step {t}: {exc}") from exc
-
-            train_acc = val_acc = None
-            if not skipped:
-                applied += 1
-                if applied % cfg.eval_every == 0:
-                    train_acc = accuracy(params, train.features, train.labels, spec)
-                    val_acc = accuracy(params, val_x, val_y, spec)
-                    sched, opt = plateau_update(sched, opt, val_acc)
-            if t == cfg.steps and val_acc is None:
-                # final-step snapshot for summaries; never fed to the scheduler
+        train_acc = val_acc = None
+        if not skipped:
+            applied += 1
+            if applied % cfg.eval_every == 0:
                 train_acc = accuracy(params, train.features, train.labels, spec)
                 val_acc = accuracy(params, val_x, val_y, spec)
+                sched, opt = plateau_update(sched, opt, val_acc)
+        if t == cfg.steps and val_acc is None:
+            # final-step snapshot for summaries; never fed to the scheduler
+            train_acc = accuracy(params, train.features, train.labels, spec)
+            val_acc = accuracy(params, val_x, val_y, spec)
 
-            records.append(
-                StepRecord(
-                    step=t,
-                    train_loss=train_loss,
-                    cos_distances=distances,
-                    accepted_count=accepted,
-                    skipped=skipped,
-                    lr=opt.lr,
-                    train_acc=train_acc,
-                    val_acc=val_acc,
-                )
+        records.append(
+            StepRecord(
+                step=t,
+                train_loss=train_loss,
+                cos_distances=distances,
+                accepted_count=accepted,
+                skipped=skipped,
+                lr=opt.lr,
+                train_acc=train_acc,
+                val_acc=val_acc,
             )
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        )
 
     return RunResult(records, params, opt, sched, train, val_x, val_y)
 
 
-def run(cfg: RunConfig, threads: int | None = None) -> list[StepRecord]:
+def run(cfg: RunConfig) -> list[StepRecord]:
     """Run the training loop, returning one StepRecord per step."""
-    return run_detailed(cfg, threads=threads).records
+    return run_detailed(cfg).records
 
 
-def measure_pairwise_distance_trend(
-    cfg: RunConfig, u_values: list[int], threads: int | None = None
-) -> dict[int, float]:
+def measure_pairwise_distance_trend(cfg: RunConfig, u_values: list[int]) -> dict[int, float]:
     """Mean two-worker cosine distance over the last quartile, per microbatch size.
 
     Runs plain-averaging training once per u value on a k=2 config and
@@ -236,7 +213,7 @@ def measure_pairwise_distance_trend(
         raise ValueError("pairwise distance trend is defined for k=2")
     out: dict[int, float] = {}
     for u in u_values:
-        records = run(replace(cfg, u=u, aggregator=AGG_AVERAGING), threads=threads)
+        records = run(replace(cfg, u=u, aggregator=AGG_AVERAGING))
         tail = records[(3 * len(records)) // 4 :]
         distances = [d for r in tail for d in r.cos_distances]
         out[u] = sum(distances) / len(distances)

@@ -69,27 +69,6 @@ def rolling_mean(values, window: int) -> list[float]:
     return head + [float(v) for v in body]
 
 
-class RollingSeries:
-    """Append-only series paired with its trailing-window rolling mean."""
-
-    def __init__(self, window: int = 100):
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        self.window = window
-        self.values: list[float] = []
-
-    def append(self, value: float) -> None:
-        self.values.append(float(value))
-
-    def extend(self, values) -> None:
-        for v in values:
-            self.append(v)
-
-    @property
-    def rolling(self) -> list[float]:
-        return rolling_mean(self.values, self.window)
-
-
 def _record_to_obj(r: StepRecord) -> dict:
     return {
         "step": r.step,
@@ -144,11 +123,19 @@ def read_records(path) -> list[StepRecord]:
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        obj = json.loads(line)
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from None
+        if not isinstance(obj, dict):
+            raise ValueError(f"{path}:{lineno}: expected a JSON object, got {type(obj).__name__}")
         unknown = set(obj) - set(RECORD_FIELDS)
         if unknown:
             raise ValueError(f"{path}:{lineno}: unknown record fields {sorted(unknown)}")
-        records.append(StepRecord(**obj))
+        try:
+            records.append(StepRecord(**obj))
+        except TypeError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     return records
 
 

@@ -6,10 +6,12 @@ scale; the constants below are frozen on purpose so regressions are loud.
 Seed gates are spelled out per criterion.
 """
 
+import json
+import os
 import subprocess
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +59,18 @@ CLUSTER_MODEL = ModelSpec(kind="mlp1", input_dim=32, num_classes=10, hidden_dim=
 CLUSTER_SIGMA = 0.3
 CLUSTER_RUN = dict(k=2, u=10, steps=10_000, lr=0.05, momentum=0.9, weight_decay=0.0,
                    eval_every=100, val_fraction=0.2, sampling="stratified")
+
+REPO = Path(__file__).resolve().parent.parent
+
+# rebuilds a RunConfig from its asdict() JSON in a fresh interpreter and
+# writes the run's records to the given path
+FRESH_PROCESS_RUN = """
+import json, sys
+from gafsim import DataConfig, ModelSpec, RunConfig, run, write_records
+kw = json.loads(sys.argv[1])
+cfg = RunConfig(model=ModelSpec(**kw.pop("model")), data=DataConfig(**kw.pop("data")), **kw)
+write_records(run(cfg), sys.argv[2])
+"""
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -149,19 +163,29 @@ class TestCriterion2GradientCorrectness:
 
 
 class TestCriterion3DeterminismAndSkips:
-    def test_thread_counts_and_skip_semantics(self, tmp_path):
+    def test_repeat_runs_and_skip_semantics(self, tmp_path):
         start = time.monotonic()
         data = DataConfig(kind="gaussian", num_classes=5, input_dim=8, n_per_class=80,
                           sigma=0.5, noise_rate=0.3)
         model = ModelSpec(kind="softmax_linear", input_dim=8, num_classes=5, init_sigma=0.1)
         cfg = RunConfig(model=model, data=data, k=4, u=5, steps=150, aggregator="gaf",
                         tau=1.0, eval_every=50, master_seed=11)
-        blobs = []
-        for threads in (1, 2, cfg.k):
-            path = tmp_path / f"records_t{threads}.jsonl"
-            write_records(run(cfg, threads=threads), path)
-            blobs.append(path.read_bytes())
-        identical = blobs[0] == blobs[1] == blobs[2]
+        # two runs in this process and one in a fresh interpreter, which
+        # shares no module state, allocator history or hash seed with it
+        paths = [tmp_path / f"records_{name}.jsonl" for name in ("a", "b", "fresh")]
+        for path in paths[:2]:
+            write_records(run(cfg), path)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(REPO / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", FRESH_PROCESS_RUN, json.dumps(asdict(cfg)), str(paths[2])],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        blobs = [path.read_bytes() for path in paths]
+        identical = blobs[0] == blobs[1] == blobs[2] and len(blobs[0]) > 0
 
         # tau=0 rejects every candidate: the whole run is forced skips and
         # params, velocity, lr, and scheduler state stay bitwise at init
@@ -182,7 +206,7 @@ class TestCriterion3DeterminismAndSkips:
         elapsed = time.monotonic() - start
         ok = identical and untouched and elapsed < 60.0
         report("3 determinism+skip", ok,
-               f"threads 1/2/{cfg.k} byte-identical={identical}, "
+               f"2 in-process + 1 fresh-process runs byte-identical={identical}, "
                f"forced-skip state untouched={untouched}, {elapsed:.1f}s")
         assert ok
 

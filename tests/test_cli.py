@@ -84,6 +84,14 @@ class TestRunCommand:
         assert main(["run", "--config", str(dumped)]) == 0
         assert (rundir / "records.jsonl").read_bytes() == first
 
+    @pytest.mark.parametrize("pivot", ["5", "-1"])
+    def test_pivot_out_of_range_is_config_error(self, tmp_path, capsys, pivot):
+        cfg = minimal_config(tmp_path)
+        assert main(["run", "--config", str(cfg), "--aggregator", "gaf",
+                     "--pivot", pivot]) == 2
+        assert f"pivot {pivot} out of range" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_data_model_dim_conflict(self, tmp_path, capsys):
         path = minimal_config(tmp_path)
         obj = json.loads(path.read_text())

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gafsim.gradvec import as_gradvec, axpy, cosine_distance, dot, l2_norm, scale
+from gafsim.gradvec import as_gradvec, cosine_distance, dot, l2_norm
 
 from conftest import N_PROPERTY_CASES, random_vec
 
@@ -65,25 +65,6 @@ class TestCosineDistance:
             cosine_distance(v(1, 0), v(1, 0, 0))
 
 
-class TestAxpyScale:
-    def test_axpy(self):
-        acc = v(1, 2)
-        out = axpy(acc, v(3, 4))
-        assert out is acc
-        assert np.array_equal(acc, v(4, 6))
-
-    def test_scale(self):
-        assert np.array_equal(scale(v(2, 4), 0.5), v(1, 2))
-
-    def test_scale_identity(self):
-        x = random_vec(np.random.default_rng(0), 100)
-        assert np.array_equal(scale(x, 1.0), x)
-
-    def test_axpy_dim_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            axpy(v(1, 2), v(1, 2, 3))
-
-
 class TestValidation:
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match="non-finite"):
@@ -114,7 +95,7 @@ class TestProperties:
             a = random_vec(rng)
             b = random_vec(rng, dim=a.shape[0])
             s = float(np.exp(rng.uniform(-13, 13)))
-            assert cosine_distance(scale(a, s), b) == pytest.approx(
+            assert cosine_distance(a * s, b) == pytest.approx(
                 cosine_distance(a, b), abs=1e-12
             )
 

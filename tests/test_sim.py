@@ -42,21 +42,6 @@ class TestDeterminism:
         b = run(base_cfg(aggregator="gaf", tau=0.97))
         assert a == b
 
-    def test_thread_count_does_not_change_output(self, tmp_path):
-        cfg = base_cfg(k=4, u=5, aggregator="gaf", tau=1.0)
-        blobs = {
-            n: records_bytes(run(cfg, threads=n), tmp_path, f"t{n}")
-            for n in (1, 2, cfg.k)
-        }
-        assert blobs[1] == blobs[2] == blobs[cfg.k]
-
-    def test_gaf_threads_env(self, tmp_path, monkeypatch):
-        cfg = base_cfg(k=3, u=5)
-        monkeypatch.setenv("GAF_THREADS", "3")
-        env_records = run(cfg)
-        monkeypatch.delenv("GAF_THREADS")
-        assert env_records == run(cfg, threads=1)
-
     def test_trend_measurement_reproducible(self):
         cfg = base_cfg(steps=40)
         a = measure_pairwise_distance_trend(cfg, [5, 10])
@@ -87,6 +72,14 @@ class TestStepAccounting:
     def test_zero_steps_rejected(self):
         with pytest.raises(ValueError, match="steps"):
             base_cfg(steps=0)
+
+    @pytest.mark.parametrize("pivot", [-1, 2, 5])
+    def test_pivot_outside_workers_rejected(self, pivot):
+        with pytest.raises(ValueError, match=f"pivot {pivot} out of range"):
+            base_cfg(k=2, aggregator="gaf", pivot=pivot)
+
+    def test_pivot_at_last_worker_accepted(self):
+        assert base_cfg(k=2, aggregator="gaf", pivot=1).pivot == 1
 
     def test_skips_plus_applied_cover_run(self):
         result = run_detailed(base_cfg(aggregator="gaf", tau=0.5, steps=80))
@@ -123,10 +116,32 @@ class TestSkipSemantics:
         assert len(evals) == 1 and evals[0].step == 30
 
 
+class TestSingleWorker:
+    # k=1 has no candidate to agree with: averaging steps on the lone
+    # gradient, while the filter has no agreeing pair and skips every step
+    def test_averaging_steps_every_time(self):
+        cfg = base_cfg(k=1, steps=20)
+        result = run_detailed(cfg)
+        assert not any(r.skipped for r in result.records)
+        assert all(r.accepted_count == 1 for r in result.records)
+        assert all(r.cos_distances == [] for r in result.records)
+        assert result.opt.step_count == 20
+        spec = replace(cfg.model,
+                       init_seed=derive_seed(cfg.master_seed, _TAG_INIT, cfg.model.init_seed))
+        assert not np.array_equal(result.params.flatten(), init_params(spec).flatten())
+
+    @pytest.mark.parametrize("tau", [0.0, 2.0])
+    def test_filter_skips_every_time(self, tau):
+        result = run_detailed(base_cfg(k=1, steps=20, aggregator="gaf", tau=tau))
+        assert all(r.skipped for r in result.records)
+        assert all(r.accepted_count == 1 for r in result.records)
+        assert result.opt.skip_count == 20 and result.opt.step_count == 0
+
+
 class TestSnapshotConsistency:
     def test_first_step_reproducible_serially(self):
         cfg = base_cfg(k=3, u=5, aggregator="gaf", tau=1.0)
-        result = run_detailed(cfg, threads=cfg.k)
+        result = run_detailed(cfg)
         spec = replace(cfg.model,
                        init_seed=derive_seed(cfg.master_seed, _TAG_INIT, cfg.model.init_seed))
         params = init_params(spec)
@@ -187,21 +202,6 @@ class TestEvaluation:
 
 @pytest.mark.properties
 class TestProperties:
-    def test_determinism_across_thread_counts(self):
-        # identical configs agree for every thread count, across many configs
-        rng = np.random.default_rng(77)
-        for _ in range(N_PROPERTY_CASES // 20):
-            k = int(rng.integers(2, 5))
-            cfg = base_cfg(
-                k=k,
-                steps=10,
-                aggregator="gaf" if rng.integers(2) else "avg",
-                tau=float(rng.uniform(0.5, 2.0)),
-                master_seed=int(rng.integers(1 << 31)),
-            )
-            runs = [run(cfg, threads=n) for n in (1, 2, k)]
-            assert runs[0] == runs[1] == runs[2]
-
     def test_skip_accounting_property(self):
         rng = np.random.default_rng(78)
         for _ in range(N_PROPERTY_CASES // 20):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from gafsim.telemetry import (
-    RollingSeries,
     StepRecord,
     read_records,
     rolling_mean,
@@ -59,15 +58,6 @@ class TestRollingMean:
         assert rolling_mean([], 5) == []
 
 
-class TestRollingSeries:
-    def test_appends_track_function(self):
-        series = RollingSeries(window=3)
-        series.extend([1.0, 2.0, 3.0, 4.0])
-        assert series.rolling == rolling_mean([1.0, 2.0, 3.0, 4.0], 3)
-        series.append(5.0)
-        assert series.rolling[-1] == pytest.approx(4.0)
-
-
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         records = make_records(50)
@@ -99,6 +89,21 @@ class TestSerialization:
             "skipped", "lr", "train_acc", "val_acc",
         ]
         assert isinstance(obj["cos_distances"], list)
+
+    @pytest.mark.parametrize("line, message", [
+        ('{"step": 3,', "invalid JSON"),
+        ('{"step": 3}', "missing 1 required positional argument: 'train_loss'"),
+        ("[3, 0.5]", "expected a JSON object, got list"),
+        ('{"step": 3, "train_loss": 0.5, "pivot": 0}', "unknown record fields ['pivot']"),
+    ])
+    def test_bad_line_names_path_and_line(self, tmp_path, line, message):
+        path = tmp_path / "records.jsonl"
+        write_records(make_records(2), path)
+        path.write_text(path.read_text() + line + "\n")
+        with pytest.raises(ValueError) as info:
+            read_records(path)
+        assert str(info.value).startswith(f"{path}:3: ")
+        assert message in str(info.value)
 
     def test_write_failure_names_path(self, tmp_path):
         with pytest.raises(OSError, match="no/such"):
