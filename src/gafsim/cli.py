@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from dataclasses import replace
@@ -29,7 +30,7 @@ from .aggregate import GafConfig, gaf_aggregate
 from .data import CSV, GAUSSIAN, STRATIFIED, UNIFORM, WHITE_NOISE, DataConfig
 from .models import MLP1, SOFTMAX_LINEAR, ModelSpec, init_params, loss_and_grad, unflatten
 from .sim import AGG_AVERAGING, AGG_GAF, RunConfig, run
-from .telemetry import summarize, write_records
+from .telemetry import summarize, write_atomic, write_records
 
 DEFAULT_TAU_GRID = [0.95, 0.97, 0.99, 1.01, 1.03, 1.05]
 
@@ -192,10 +193,10 @@ def _execute_one(exp: dict, seed: int, out_root: Path) -> dict:
     rundir.mkdir(parents=True, exist_ok=True)
     write_records(records, rundir / "records.jsonl")
     summary = summarize(records)
-    (rundir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    write_atomic(rundir / "summary.json", json.dumps(summary, indent=2) + "\n")
     dump = _experiment_to_obj(exp, [seed], str(out_root))
     dump.pop("sweep", None)
-    (rundir / "config.json").write_text(json.dumps(dump, indent=2) + "\n")
+    write_atomic(rundir / "config.json", json.dumps(dump, indent=2) + "\n")
     print(f"{run_name(cfg)}: final_val_acc={summary['final_val_acc']} "
           f"skip_fraction={summary['skip_fraction']:.3f}")
     return summary
@@ -265,27 +266,28 @@ def cmd_sweep(exp: dict) -> int:
             rows.append((axis, value, seed, AGG_AVERAGING, base_summary, None))
             rows.append((axis, value, seed, AGG_GAF, gaf_summary, improvement))
 
-    table = out_root / "sweep_summary.csv"
-    with table.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(
+        ["param", "value", "seed", "aggregator", "final_val_acc", "best_val_acc",
+         "skip_fraction", "mean_cos_distance_last_quartile", "improvement"]
+    )
+    for axis_name, value, seed, agg, summary, improvement in rows:
         writer.writerow(
-            ["param", "value", "seed", "aggregator", "final_val_acc", "best_val_acc",
-             "skip_fraction", "mean_cos_distance_last_quartile", "improvement"]
+            [
+                axis_name,
+                value,
+                seed,
+                agg,
+                summary["final_val_acc"],
+                summary["best_val_acc"],
+                summary["skip_fraction"],
+                summary["mean_cos_distance_last_quartile"],
+                "" if improvement is None else improvement,
+            ]
         )
-        for axis_name, value, seed, agg, summary, improvement in rows:
-            writer.writerow(
-                [
-                    axis_name,
-                    value,
-                    seed,
-                    agg,
-                    summary["final_val_acc"],
-                    summary["best_val_acc"],
-                    summary["skip_fraction"],
-                    summary["mean_cos_distance_last_quartile"],
-                    "" if improvement is None else improvement,
-                ]
-            )
+    table = out_root / "sweep_summary.csv"
+    write_atomic(table, buf.getvalue())
     print(f"sweep table written to {table}")
     return 0
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ WHITE_NOISE = "white_noise"
 CSV = "csv"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
     features: np.ndarray  # (n, d) float64
     labels: np.ndarray  # (n,) int64, possibly noisy
@@ -46,10 +47,15 @@ class Dataset:
     def dim(self) -> int:
         return self.features.shape[1]
 
+    @cached_property
+    def class_pools(self) -> list[np.ndarray]:
+        """Row indices of each (possibly noisy) class, ascending; computed once."""
+        return [np.flatnonzero(self.labels == c) for c in range(self.num_classes)]
+
 
 @dataclass
 class Microbatch:
-    """One worker's slice of a macrobatch: row indices plus materialized views."""
+    """One worker's slice of a macrobatch: row indices plus their features and labels."""
 
     indices: np.ndarray
     features: np.ndarray
@@ -195,7 +201,8 @@ def sample_macrobatch(
     Stratified mode draws u / num_classes samples per class per microbatch
     (u must divide evenly), so all k microbatches share one class histogram.
     Uniform mode draws k*u distinct rows and chunks them. Deterministic
-    given step_seed.
+    given step_seed. Features and labels are gathered once for the whole
+    macrobatch; each microbatch holds row views of that gather.
     """
     if k < 1 or u < 1:
         raise ValueError("k and u must be positive")
@@ -208,14 +215,13 @@ def sample_macrobatch(
         per_class = u // ds.num_classes
         picks = np.empty((k, u), dtype=np.int64)
         col = 0
-        for c in range(ds.num_classes):
-            pool = np.flatnonzero(ds.labels == c)
-            need = k * per_class
+        need = k * per_class
+        for c, pool in enumerate(ds.class_pools):
             if pool.size < need:
                 raise ValueError(
                     f"class {c} has {pool.size} samples, need {need} for k={k}, u={u}"
                 )
-            chosen = rng.choice(pool, size=need, replace=False)
+            chosen = pool[rng.choice(pool.size, size=need, replace=False)]
             picks[:, col : col + per_class] = chosen.reshape(k, per_class)
             col += per_class
     elif mode == UNIFORM:
@@ -225,10 +231,9 @@ def sample_macrobatch(
     else:
         raise ValueError(f"unknown sampling mode {mode!r}")
 
-    return [
-        Microbatch(indices=row, features=ds.features[row], labels=ds.labels[row])
-        for row in picks
-    ]
+    features = ds.features[picks]  # (k, u, d)
+    labels = ds.labels[picks]  # (k, u)
+    return [Microbatch(indices=picks[i], features=features[i], labels=labels[i]) for i in range(k)]
 
 
 def load_csv(path) -> Dataset:

@@ -18,6 +18,9 @@ from .gradvec import GradVec
 SOFTMAX_LINEAR = "softmax_linear"
 MLP1 = "mlp1"
 
+# rows per forward pass in predict: bounds the (rows, hidden) temporaries
+_PREDICT_CHUNK = 512
+
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -181,9 +184,7 @@ def loss_and_grad(
     return loss, grad
 
 
-def predict(params: Params, features: np.ndarray, spec: ModelSpec) -> np.ndarray:
-    """Argmax class per row; ties resolve to the lowest class index."""
-    features = np.asarray(features, dtype=np.float64)
+def _predict_rows(params: Params, features: np.ndarray, spec: ModelSpec) -> np.ndarray:
     if spec.kind == SOFTMAX_LINEAR:
         (w, b) = params.layers[0]
         logits = features @ w.T + b
@@ -193,6 +194,21 @@ def predict(params: Params, features: np.ndarray, spec: ModelSpec) -> np.ndarray
         hidden = np.tanh(pre) if spec.activation == "tanh" else np.maximum(pre, 0.0)
         logits = hidden @ w2.T + b2
     return logits.argmax(axis=1)
+
+
+def predict(params: Params, features: np.ndarray, spec: ModelSpec) -> np.ndarray:
+    """Argmax class per row; ties resolve to the lowest class index.
+
+    Rows are evaluated in fixed-size chunks, so the temporaries stay small
+    however large the evaluated set is (an empty set is one empty chunk).
+    """
+    features = np.asarray(features, dtype=np.float64)
+    return np.concatenate(
+        [
+            _predict_rows(params, features[i : i + _PREDICT_CHUNK], spec)
+            for i in range(0, max(features.shape[0], 1), _PREDICT_CHUNK)
+        ]
+    )
 
 
 def accuracy(params: Params, features: np.ndarray, labels: np.ndarray, spec: ModelSpec) -> float:

@@ -3,7 +3,8 @@
 The canonical on-disk format is JSONL, one object per training step, with
 a companion CSV holding the scalar columns (cosine distances reduced to
 their mean). Serialization is byte-reproducible for identical records and
-round-trips every finite float64 exactly.
+round-trips every finite float64 exactly. Every file is written atomically
+(see write_atomic).
 """
 
 from __future__ import annotations
@@ -11,21 +12,35 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-RECORD_FIELDS = (
-    "step",
-    "train_loss",
-    "cos_distances",
-    "accepted_count",
-    "skipped",
-    "lr",
-    "train_acc",
-    "val_acc",
-)
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# record field, in schema order -> (check on its decoded JSON value, what it wants)
+RECORD_FIELDS = {
+    "step": (_is_int, "an integer"),
+    "train_loss": (_is_number, "a number"),
+    "cos_distances": (
+        lambda v: isinstance(v, list) and all(map(_is_number, v)),
+        "a list of numbers",
+    ),
+    "accepted_count": (_is_int, "an integer"),
+    "skipped": (lambda v: isinstance(v, bool), "a boolean"),
+    "lr": (_is_number, "a number"),
+    "train_acc": (lambda v: v is None or _is_number(v), "a number or null"),
+    "val_acc": (lambda v: v is None or _is_number(v), "a number or null"),
+}
 
 
 @dataclass
@@ -82,6 +97,24 @@ def _record_to_obj(r: StepRecord) -> dict:
     }
 
 
+def write_atomic(path, text: str) -> None:
+    """Replace `path` with `text` through a temp file in the same directory.
+
+    The text goes to a temp file that os.replace then renames over `path`,
+    so a reader or a crash mid-write sees either the old file or the new
+    one, never a partial one; on failure the temp file is removed.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_records(records: list[StepRecord], path) -> None:
     """Write JSONL to `path` and the scalar CSV next to it (.csv suffix)."""
     path = Path(path)
@@ -106,14 +139,18 @@ def write_records(records: list[StepRecord], path) -> None:
             ]
         )
     try:
-        path.write_text("".join(line + "\n" for line in lines))
-        path.with_suffix(".csv").write_text(csv_buf.getvalue())
+        write_atomic(path, "".join(line + "\n" for line in lines))
+        write_atomic(path.with_suffix(".csv"), csv_buf.getvalue())
     except OSError as exc:
         raise OSError(f"failed writing records to {path}: {exc}") from exc
 
 
 def read_records(path) -> list[StepRecord]:
-    """Read back a JSONL records file written by write_records."""
+    """Read back a JSONL records file written by write_records.
+
+    Every error names `path:line`: invalid JSON, a non-object line, unknown
+    or missing fields, and field values of the wrong type.
+    """
     path = Path(path)
     records = []
     try:
@@ -132,6 +169,10 @@ def read_records(path) -> list[StepRecord]:
         unknown = set(obj) - set(RECORD_FIELDS)
         if unknown:
             raise ValueError(f"{path}:{lineno}: unknown record fields {sorted(unknown)}")
+        for name, value in obj.items():
+            check, wanted = RECORD_FIELDS[name]
+            if not check(value):
+                raise ValueError(f"{path}:{lineno}: field {name!r} must be {wanted}, got {value!r}")
         try:
             records.append(StepRecord(**obj))
         except TypeError as exc:

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -162,3 +166,12 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         assert out.count("PASS") == 4
         assert "FAIL" not in out
+
+    def test_module_entry_point(self, tmp_path):
+        # `python -m gafsim check` from a source checkout, outside the repo
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run([sys.executable, "-m", "gafsim", "check"], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count("PASS") == 4

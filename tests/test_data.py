@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -144,6 +147,73 @@ class TestMacrobatchSampling:
         ds = gen_white_noise(3, 2, 10, seed=0)
         with pytest.raises(ValueError, match="exceeds"):
             sample_macrobatch(ds, 3, 5, UNIFORM, step_seed=0)
+
+
+def _csv_dataset(tmp_path):
+    path = tmp_path / "data.csv"
+    rows = [f"{0.5 * i},{-1.0 * i},{(i * 7) % 4}" for i in range(30)]
+    path.write_text("f0,f1,label\n" + "\n".join(rows) + "\n")
+    return load_csv(path)
+
+
+DATASET_BUILDERS = {
+    "gaussian": lambda tmp_path: gen_gaussian_clusters(4, 3, 25, sigma=0.5, seed=1),
+    "white_noise": lambda tmp_path: gen_white_noise(5, 3, 120, seed=2),
+    "csv": _csv_dataset,
+    "take": lambda tmp_path: take(gen_white_noise(4, 2, 90, seed=3), np.arange(5, 80, 2)),
+    "noise": lambda tmp_path: inject_symmetric_noise(
+        gen_gaussian_clusters(4, 3, 25, sigma=0.5, seed=1), 0.4, seed=7
+    ),
+}
+
+
+class TestClassPools:
+    @pytest.mark.parametrize("builder", DATASET_BUILDERS.values(), ids=DATASET_BUILDERS.keys())
+    def test_pools_are_class_rows(self, builder, tmp_path):
+        ds = builder(tmp_path)
+        assert len(ds.class_pools) == ds.num_classes
+        for c, pool in enumerate(ds.class_pools):
+            assert np.array_equal(pool, np.flatnonzero(ds.labels == c))
+
+    def test_pools_computed_once(self):
+        ds = gen_white_noise(3, 2, 40, seed=0)
+        assert ds.class_pools is ds.class_pools
+
+    def test_dataset_is_frozen(self):
+        # the pool cache would go stale if labels could be reassigned
+        ds = gen_white_noise(3, 2, 40, seed=0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ds.labels = np.zeros(40, dtype=np.int64)
+
+
+def _batches_digest(batches):
+    h = hashlib.sha256()
+    for mb in batches:
+        h.update(np.ascontiguousarray(mb.indices, dtype=np.int64).tobytes())
+        h.update(np.ascontiguousarray(mb.features, dtype=np.float64).tobytes())
+        h.update(np.ascontiguousarray(mb.labels, dtype=np.int64).tobytes())
+    return h.hexdigest()[:16]
+
+
+class TestSamplingGolden:
+    """Pins the drawn rows, features and labels, so a faster sampler must keep
+    the exact draw stream (every recorded run depends on it)."""
+
+    @pytest.mark.parametrize("mode, k, u, step_seed, digest", [
+        (STRATIFIED, 1, 5, 0, "2d032463dc11bc9f"),
+        (STRATIFIED, 2, 10, 11, "8e1f7c6f8374fe7f"),
+        (STRATIFIED, 4, 5, 12345, "eb1b68b0b2d2fc96"),
+        (STRATIFIED, 3, 15, 2**63 + 7, "53b5a3aa9f67e361"),
+        (UNIFORM, 1, 1, 0, "cd64c05b94d03ffe"),
+        (UNIFORM, 3, 7, 11, "41c6297f320bb6a4"),
+        (UNIFORM, 5, 2, 2**63 + 7, "878ec8d42b13e143"),
+    ])
+    def test_macrobatch_digest(self, mode, k, u, step_seed, digest):
+        if mode == STRATIFIED:
+            ds = inject_symmetric_noise(gen_gaussian_clusters(5, 3, 40, 0.5, seed=8), 0.4, seed=9)
+        else:
+            ds = gen_white_noise(4, 3, 90, seed=8)
+        assert _batches_digest(sample_macrobatch(ds, k, u, mode, step_seed)) == digest
 
 
 class TestCsv:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gafsim import models
 from gafsim.models import (
     MLP1,
     SOFTMAX_LINEAR,
@@ -10,6 +11,7 @@ from gafsim.models import (
     accuracy,
     init_params,
     loss_and_grad,
+    predict,
     unflatten,
 )
 
@@ -146,6 +148,23 @@ class TestAccuracy:
     def test_empty_errors(self):
         with pytest.raises(ValueError, match="empty"):
             accuracy(init_params(LINEAR), np.zeros((0, 6)), np.zeros(0, dtype=int), LINEAR)
+
+
+class TestPredict:
+    CHUNK = models._PREDICT_CHUNK
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=["linear", "mlp_tanh", "mlp_relu"])
+    @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+    def test_chunked_equals_single_pass(self, spec, n, rng):
+        params = init_params(spec)
+        x = rng.normal(size=(n, spec.input_dim))
+        single = models._predict_rows(params, x, spec)
+        assert single.shape == (n,)
+        assert np.array_equal(predict(params, x, spec), single)
+
+    def test_empty_set_predicts_nothing(self):
+        out = predict(init_params(MLP_RELU), np.zeros((0, 6)), MLP_RELU)
+        assert out.shape == (0,)
 
 
 @pytest.mark.properties

@@ -4,11 +4,13 @@ import time
 import numpy as np
 import pytest
 
+from gafsim import telemetry
 from gafsim.telemetry import (
     StepRecord,
     read_records,
     rolling_mean,
     summarize,
+    write_atomic,
     write_records,
 )
 
@@ -95,6 +97,25 @@ class TestSerialization:
         ('{"step": 3}', "missing 1 required positional argument: 'train_loss'"),
         ("[3, 0.5]", "expected a JSON object, got list"),
         ('{"step": 3, "train_loss": 0.5, "pivot": 0}', "unknown record fields ['pivot']"),
+        ('{"step": "x", "train_loss": 0.5}', "field 'step' must be an integer, got 'x'"),
+        ('{"step": true, "train_loss": 0.5}', "field 'step' must be an integer, got True"),
+        ('{"step": 3.0, "train_loss": 0.5}', "field 'step' must be an integer, got 3.0"),
+        ('{"step": 3, "train_loss": "y"}', "field 'train_loss' must be a number, got 'y'"),
+        ('{"step": 3, "train_loss": false}', "field 'train_loss' must be a number, got False"),
+        ('{"step": 3, "train_loss": 0.5, "cos_distances": 0.1}',
+         "field 'cos_distances' must be a list of numbers, got 0.1"),
+        ('{"step": 3, "train_loss": 0.5, "cos_distances": [0.1, "a"]}',
+         "field 'cos_distances' must be a list of numbers, got [0.1, 'a']"),
+        ('{"step": 3, "train_loss": 0.5, "accepted_count": 2.0}',
+         "field 'accepted_count' must be an integer, got 2.0"),
+        ('{"step": 3, "train_loss": 0.5, "accepted_count": false}',
+         "field 'accepted_count' must be an integer, got False"),
+        ('{"step": 3, "train_loss": 0.5, "skipped": 0}', "field 'skipped' must be a boolean, got 0"),
+        ('{"step": 3, "train_loss": 0.5, "lr": null}', "field 'lr' must be a number, got None"),
+        ('{"step": 3, "train_loss": 0.5, "train_acc": true}',
+         "field 'train_acc' must be a number or null, got True"),
+        ('{"step": 3, "train_loss": 0.5, "val_acc": "0.5"}',
+         "field 'val_acc' must be a number or null, got '0.5'"),
     ])
     def test_bad_line_names_path_and_line(self, tmp_path, line, message):
         path = tmp_path / "records.jsonl"
@@ -104,6 +125,28 @@ class TestSerialization:
             read_records(path)
         assert str(info.value).startswith(f"{path}:3: ")
         assert message in str(info.value)
+
+    def test_failed_replace_keeps_old_files(self, tmp_path, monkeypatch):
+        # the new text is fully written to a temp file, then the rename fails
+        path = tmp_path / "records.jsonl"
+        write_records(make_records(5), path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(telemetry.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            write_records(make_records(9, np.random.default_rng(1)), path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        path = tmp_path / "summary.json"
+        write_atomic(path, "old\n")
+        with pytest.raises(UnicodeEncodeError):
+            write_atomic(path, "new " * 1000 + "\udc80")  # lone surrogate: unencodable
+        assert [p.name for p in tmp_path.iterdir()] == ["summary.json"]
+        assert path.read_text() == "old\n"
 
     def test_write_failure_names_path(self, tmp_path):
         with pytest.raises(OSError, match="no/such"):
