@@ -8,8 +8,9 @@ pivot is admitted the whole macrobatch is skipped. The scan is therefore
 order dependent: `gaf_aggregate_all_pivots` exposes how much the outcome
 moves with the pivot choice.
 
-A threshold of 2 admits every candidate, which makes filtering equivalent
-to plain averaging.
+With k >= 2 micro-gradients, a threshold of 2 admits every candidate,
+which makes filtering equivalent to plain averaging. A lone gradient
+(k = 1) has nothing to agree with, so filtering skips it at any threshold.
 """
 
 from __future__ import annotations

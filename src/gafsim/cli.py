@@ -8,26 +8,30 @@ Subcommands:
   check   quick self-tests: finite-difference gradients and an
           independent re-derivation of the aggregation scan
 
-Configs are JSON (schema documented in the README); every run-section leaf
-has a matching flag that strictly overrides the file value. Unknown keys
-anywhere in the file are hard errors. Exit codes: 0 success, 1 runtime
-failure, 2 configuration error.
+Configs are JSON (schema documented in the README). The keys, their
+types and their defaults are the fields of ModelSpec, DataConfig and
+RunConfig; every key but data.num_classes/input_dim (which follow the
+model) has a matching flag that strictly overrides the file value. Unknown
+keys anywhere in the file are hard errors. Exit codes: 0 success, 1
+runtime failure, 2 configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
-from dataclasses import replace
+import typing
+from dataclasses import MISSING, asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .aggregate import GafConfig, gaf_aggregate
-from .data import CSV, GAUSSIAN, STRATIFIED, UNIFORM, WHITE_NOISE, DataConfig
+from .data import CSV, DataConfig
 from .models import MLP1, SOFTMAX_LINEAR, ModelSpec, init_params, loss_and_grad, unflatten
 from .sim import AGG_AVERAGING, AGG_GAF, RunConfig, run
 from .telemetry import summarize, write_atomic, write_records
@@ -39,144 +43,121 @@ class ConfigError(Exception):
     pass
 
 
-_REQUIRED = object()
-
-# field name -> (coercion, default); _REQUIRED defaults must be present
-_MODEL_SCHEMA = {
-    "kind": (str, _REQUIRED),
-    "input_dim": (int, _REQUIRED),
-    "num_classes": (int, _REQUIRED),
-    "hidden_dim": (int, 0),
-    "activation": (str, "tanh"),
-    "init_sigma": (float, 0.1),
-    "init_seed": (int, 0),
+_SECTIONS = (("run.model", ModelSpec), ("run.data", DataConfig), ("run", RunConfig))
+_NOT_KEYS = ("model", "data", "master_seed")  # RunConfig fields that are not run-section leaves
+_FOLLOW_MODEL = ("num_classes", "input_dim")  # data keys that default to the model's value
+_FLAG_NAMES = {
+    ("run.model", "kind"): "--model-kind",
+    ("run.data", "kind"): "--data-kind",
+    ("run.data", "path"): "--csv-path",
 }
-_DATA_SCHEMA = {
-    "kind": (str, _REQUIRED),
-    "num_classes": (int, None),  # None: inherit from model
-    "input_dim": (int, None),
-    "n_per_class": (int, 500),
-    "n": (int, 2000),
-    "sigma": (float, 1.0),
-    "noise_rate": (float, 0.0),
-    "path": (str, None),
+# sweep axis -> the (section, key) each of its values replaces
+_SWEEP_AXES = {
+    "tau_grid": ("run", "tau"),
+    "noise_rates": ("run.data", "noise_rate"),
+    "u_values": ("run", "u"),
 }
-_RUN_SCHEMA = {
-    "k": (int, 2),
-    "u": (int, 10),
-    "steps": (int, 1000),
-    "aggregator": (str, AGG_AVERAGING),
-    "tau": (float, 0.97),
-    "pivot": (int, None),
-    "sampling": (str, STRATIFIED),
-    "lr": (float, 0.01),
-    "momentum": (float, 0.9),
-    "weight_decay": (float, 0.0),
-    "patience": (int, 100),
-    "lr_factor": (float, 0.1),
-    "min_lr": (float, 1e-6),
-    "min_delta": (float, 1e-4),
-    "eval_every": (int, 100),
-    "val_fraction": (float, 0.2),
-}
-_SWEEP_KEYS = ("tau_grid", "noise_rates", "u_values")
 
 
-def _apply_schema(section: dict, schema: dict, where: str) -> dict:
-    unknown = set(section) - set(schema)
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
-    out = {}
-    for name, (coerce, default) in schema.items():
-        if name in section and section[name] is not None:
-            try:
-                out[name] = coerce(section[name])
-            except (TypeError, ValueError):
-                raise ConfigError(f"{where}.{name}: cannot interpret {section[name]!r}") from None
-        elif default is _REQUIRED:
-            raise ConfigError(f"missing required field {where}.{name}")
-        else:
-            out[name] = default
-    return out
+@functools.cache
+def _key_table() -> dict[str, dict[str, tuple[type, bool]]]:
+    """section -> key -> (value type, required), from the dataclass fields."""
+    table = {}
+    for where, cls in _SECTIONS:
+        hints = typing.get_type_hints(cls)
+        table[where] = {}
+        for f in fields(cls):
+            if f.name in _NOT_KEYS:
+                continue
+            # `int | None` and the like: None is only ever the default
+            want = next(t for t in typing.get_args(hints[f.name]) or (hints[f.name],)
+                        if t is not type(None))
+            table[where][f.name] = (want, f.default is MISSING)
+    return table
 
 
-def load_experiment(obj: dict) -> dict:
-    """Validate a raw config object into model/data/run kwargs plus
-    sweep, output_dir, and seeds."""
-    if not isinstance(obj, dict):
-        raise ConfigError("top-level config must be an object")
-    unknown = set(obj) - {"run", "sweep", "output_dir", "seeds"}
-    if unknown:
-        raise ConfigError(f"unknown top-level key(s): {', '.join(sorted(unknown))}")
-    run_sec = obj.get("run")
-    if not isinstance(run_sec, dict):
-        raise ConfigError("missing required field run")
-    run_unknown = set(run_sec) - (set(_RUN_SCHEMA) | {"model", "data"})
-    if run_unknown:
-        raise ConfigError(f"unknown key(s) in run: {', '.join(sorted(run_unknown))}")
-    if "model" not in run_sec:
-        raise ConfigError("missing required field run.model")
-    if "data" not in run_sec:
-        raise ConfigError("missing required field run.data")
-
-    model = _apply_schema(run_sec["model"], _MODEL_SCHEMA, "run.model")
-    data = _apply_schema(run_sec["data"], _DATA_SCHEMA, "run.data")
-    flat = _apply_schema(
-        {k: v for k, v in run_sec.items() if k not in ("model", "data")}, _RUN_SCHEMA, "run"
-    )
-
-    sweep = obj.get("sweep")
-    if sweep is not None:
-        if not isinstance(sweep, dict):
-            raise ConfigError("sweep must be an object")
-        unknown = set(sweep) - set(_SWEEP_KEYS)
-        if unknown:
-            raise ConfigError(f"unknown key(s) in sweep: {', '.join(sorted(unknown))}")
-
-    seeds = obj.get("seeds", [0])
-    if not isinstance(seeds, list) or not seeds or not all(isinstance(s, int) for s in seeds):
-        raise ConfigError("seeds must be a nonempty list of integers")
-
+@functools.cache
+def _flag_keys() -> dict[str, tuple[str, str]]:
+    """Override flag -> (section, key): each key in kebab case, bar renames."""
     return {
-        "model": model,
-        "data": data,
-        "run": flat,
-        "sweep": sweep,
-        "output_dir": obj.get("output_dir", "runs"),
-        "seeds": list(seeds),
+        _FLAG_NAMES.get((where, key), "--" + key.replace("_", "-")): (where, key)
+        for where, keys in _key_table().items()
+        for key in keys
+        if not (where == "run.data" and key in _FOLLOW_MODEL)
     }
 
 
-def build_run_config(exp: dict, master_seed: int) -> RunConfig:
-    model_kw = dict(exp["model"])
-    data_kw = dict(exp["data"])
-    if data_kw["num_classes"] is None:
-        data_kw["num_classes"] = model_kw["num_classes"]
-    if data_kw["input_dim"] is None:
-        data_kw["input_dim"] = model_kw["input_dim"]
-    if data_kw["num_classes"] != model_kw["num_classes"]:
+def _typed(value, want: type, where: str):
+    """value if it is a JSON value of type want (ints pass as floats), else ConfigError."""
+    ok = isinstance(value, (int, float) if want is float else want)
+    if not ok or isinstance(value, bool):
+        raise ConfigError(f"{where}: expected {want.__name__}, got {json.dumps(value)}")
+    return float(value) if want is float else value
+
+
+def _section(raw, where: str, keys, overrides: dict | None = None) -> dict:
+    """The raw section (absent means empty), checked for unknown keys, with
+    the non-None overrides laid over."""
+    raw = {} if raw is None else raw
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be an object")
+    unknown = set(raw) - set(keys)
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
+    return {**raw, **{k: v for k, v in (overrides or {}).items() if v is not None}}
+
+
+def _kwargs(section: dict, where: str) -> dict:
+    """Type-checked constructor kwargs; absent or null keys keep the dataclass default."""
+    out = {}
+    for key, (want, required) in _key_table()[where].items():
+        if section.get(key) is not None:
+            out[key] = _typed(section[key], want, f"{where}.{key}")
+        elif required:
+            raise ConfigError(f"missing required field {where}.{key}")
+    return out
+
+
+def load_experiment(obj, overrides: dict | None = None) -> dict:
+    """Validate a raw config object, with overrides laid over it, into a
+    template RunConfig ("run") plus sweep, output_dir, and seeds.
+
+    overrides maps a section ("top-level config", "run", "run.model",
+    "run.data") to {key: value}; None values are ignored."""
+    if not isinstance(obj, dict):
+        raise ConfigError("top-level config must be an object")
+    over = overrides or {}
+    table = _key_table()
+    top = _section(obj, "top-level config", ("run", "sweep", "output_dir", "seeds"),
+                   over.get("top-level config"))
+    run_sec = _section(top.get("run"), "run", [*table["run"], "model", "data"], over.get("run"))
+    model = _kwargs(_section(run_sec.get("model"), "run.model", table["run.model"],
+                             over.get("run.model")), "run.model")
+    data = _kwargs(_section(run_sec.get("data"), "run.data", table["run.data"],
+                            over.get("run.data")), "run.data")
+    for key in _FOLLOW_MODEL:
+        data.setdefault(key, model[key])
+    if data["num_classes"] != model["num_classes"]:
         raise ConfigError("run.data.num_classes conflicts with run.model.num_classes")
-    if data_kw["kind"] != CSV and data_kw["input_dim"] != model_kw["input_dim"]:
+    if data["kind"] != CSV and data["input_dim"] != model["input_dim"]:
         raise ConfigError("run.data.input_dim conflicts with run.model.input_dim")
     try:
-        spec = ModelSpec(**model_kw)
-        dcfg = DataConfig(**data_kw)
-        return RunConfig(model=spec, data=dcfg, master_seed=master_seed, **exp["run"])
+        template = RunConfig(model=ModelSpec(**model), data=DataConfig(**data),
+                             **_kwargs(run_sec, "run"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
+    sweep = None if top.get("sweep") is None else _section(top["sweep"], "sweep", _SWEEP_AXES)
+    seeds = top.get("seeds", [0])
+    if not isinstance(seeds, list) or not seeds:
+        raise ConfigError("seeds must be a nonempty list of integers")
+    seeds = [_typed(s, int, f"seeds[{i}]") for i, s in enumerate(seeds)]
+    output_dir = _typed(top.get("output_dir", "runs"), str, "output_dir")
+    return {"run": template, "sweep": sweep, "output_dir": output_dir, "seeds": seeds}
 
-def _experiment_to_obj(exp: dict, seeds: list[int], output_dir: str) -> dict:
-    run_obj = dict(exp["run"])
-    run_obj["model"] = dict(exp["model"])
-    run_obj["data"] = dict(exp["data"])
-    # model/data come first for readability
-    ordered = {"model": run_obj.pop("model"), "data": run_obj.pop("data")}
-    ordered.update(run_obj)
-    obj = {"run": ordered, "output_dir": output_dir, "seeds": seeds}
-    if exp.get("sweep") is not None:
-        obj["sweep"] = exp["sweep"]
-    return obj
+
+def build_run_config(exp: dict, master_seed: int) -> RunConfig:
+    return replace(exp["run"], master_seed=master_seed)
 
 
 def run_name(cfg: RunConfig) -> str:
@@ -186,16 +167,16 @@ def run_name(cfg: RunConfig) -> str:
     )
 
 
-def _execute_one(exp: dict, seed: int, out_root: Path) -> dict:
-    cfg = build_run_config(exp, seed)
+def _execute_one(cfg: RunConfig, out_root: Path) -> dict:
     records = run(cfg)
     rundir = out_root / run_name(cfg)
     rundir.mkdir(parents=True, exist_ok=True)
     write_records(records, rundir / "records.jsonl")
     summary = summarize(records)
     write_atomic(rundir / "summary.json", json.dumps(summary, indent=2) + "\n")
-    dump = _experiment_to_obj(exp, [seed], str(out_root))
-    dump.pop("sweep", None)
+    run_obj = asdict(cfg)
+    del run_obj["master_seed"]
+    dump = {"run": run_obj, "output_dir": str(out_root), "seeds": [cfg.master_seed]}
     write_atomic(rundir / "config.json", json.dumps(dump, indent=2) + "\n")
     print(f"{run_name(cfg)}: final_val_acc={summary['final_val_acc']} "
           f"skip_fraction={summary['skip_fraction']:.3f}")
@@ -205,66 +186,63 @@ def _execute_one(exp: dict, seed: int, out_root: Path) -> dict:
 def cmd_run(exp: dict) -> int:
     out_root = Path(exp["output_dir"])
     for seed in exp["seeds"]:
-        _execute_one(exp, seed, out_root)
+        _execute_one(build_run_config(exp, seed), out_root)
     return 0
 
 
-def _sweep_cells(exp: dict):
+def _sweep_cells(exp: dict) -> tuple[str, list[tuple[object, RunConfig]]]:
+    """The sweep axis and one validated (value, RunConfig) template per value."""
     sweep = exp["sweep"]
     if sweep is None:
         raise ConfigError("sweep section is required for the sweep command")
-    present = [k for k in _SWEEP_KEYS if sweep.get(k) is not None]
+    present = [k for k in _SWEEP_AXES if sweep.get(k) is not None]
     if len(present) != 1:
-        raise ConfigError(f"sweep needs exactly one of {', '.join(_SWEEP_KEYS)}")
+        raise ConfigError(f"sweep needs exactly one of {', '.join(_SWEEP_AXES)}")
     axis = present[0]
     values = sweep[axis]
-    if axis == "tau_grid" and not values:
+    if axis == "tau_grid" and values == []:
         values = list(DEFAULT_TAU_GRID)
     if not isinstance(values, list) or not values:
         raise ConfigError(f"sweep.{axis} must be a nonempty list")
-    return axis, values
-
-
-def _cell_exp(exp: dict, axis: str, value) -> dict:
-    cell = {k: (dict(v) if isinstance(v, dict) else v) for k, v in exp.items()}
-    if axis == "tau_grid":
-        cell["run"]["tau"] = float(value)
-    elif axis == "noise_rates":
-        cell["data"]["noise_rate"] = float(value)
-    else:
-        cell["run"]["u"] = int(value)
-    return cell
+    where, key = _SWEEP_AXES[axis]
+    want = _key_table()[where][key][0]
+    template = exp["run"]
+    cells = []
+    for i, value in enumerate(values):
+        at = f"sweep.{axis}[{i}]"
+        typed = _typed(value, want, at)
+        try:
+            if where == "run.data":
+                cell = replace(template, data=replace(template.data, **{key: typed}))
+            else:
+                cell = replace(template, **{key: typed})
+        except ValueError as exc:
+            raise ConfigError(f"{at}: {exc}") from None
+        cells.append((value, cell))
+    return axis, cells
 
 
 def cmd_sweep(exp: dict) -> int:
-    axis, values = _sweep_cells(exp)
+    axis, cells = _sweep_cells(exp)
     out_root = Path(exp["output_dir"])
     out_root.mkdir(parents=True, exist_ok=True)
     rows = []
-    baseline_cache: dict[str, dict] = {}
-    for value in values:
-        cell = _cell_exp(exp, axis, value)
+    baseline_cache: dict[RunConfig, dict] = {}
+    for value, cell in cells:
         for seed in exp["seeds"]:
-            base_exp = {k: (dict(v) if isinstance(v, dict) else v) for k, v in cell.items()}
-            base_exp["run"]["aggregator"] = AGG_AVERAGING
-            base_exp["run"]["tau"] = 2.0  # averaging == admit-all threshold; dedupes tau sweeps
-            base_key = json.dumps(
-                {"m": base_exp["model"], "d": base_exp["data"], "r": base_exp["run"], "s": seed},
-                sort_keys=True,
-            )
-            if base_key not in baseline_cache:
-                baseline_cache[base_key] = _execute_one(base_exp, seed, out_root)
-            base_summary = baseline_cache[base_key]
-
-            gaf_exp = {k: (dict(v) if isinstance(v, dict) else v) for k, v in cell.items()}
-            gaf_exp["run"]["aggregator"] = AGG_GAF
-            gaf_summary = _execute_one(gaf_exp, seed, out_root)
+            # averaging == admit-all threshold; one baseline serves every tau
+            base = replace(cell, aggregator=AGG_AVERAGING, tau=2.0, master_seed=seed)
+            if base not in baseline_cache:
+                baseline_cache[base] = _execute_one(base, out_root)
+            base_summary = baseline_cache[base]
+            gaf_summary = _execute_one(replace(cell, aggregator=AGG_GAF, master_seed=seed),
+                                       out_root)
 
             improvement = None
             if gaf_summary["final_val_acc"] is not None and base_summary["final_val_acc"] is not None:
                 improvement = gaf_summary["final_val_acc"] - base_summary["final_val_acc"]
-            rows.append((axis, value, seed, AGG_AVERAGING, base_summary, None))
-            rows.append((axis, value, seed, AGG_GAF, gaf_summary, improvement))
+            rows.append((value, seed, AGG_AVERAGING, base_summary, None))
+            rows.append((value, seed, AGG_GAF, gaf_summary, improvement))
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -272,19 +250,11 @@ def cmd_sweep(exp: dict) -> int:
         ["param", "value", "seed", "aggregator", "final_val_acc", "best_val_acc",
          "skip_fraction", "mean_cos_distance_last_quartile", "improvement"]
     )
-    for axis_name, value, seed, agg, summary, improvement in rows:
+    for value, seed, agg, summary, improvement in rows:
         writer.writerow(
-            [
-                axis_name,
-                value,
-                seed,
-                agg,
-                summary["final_val_acc"],
-                summary["best_val_acc"],
-                summary["skip_fraction"],
-                summary["mean_cos_distance_last_quartile"],
-                "" if improvement is None else improvement,
-            ]
+            [axis, value, seed, agg, summary["final_val_acc"], summary["best_val_acc"],
+             summary["skip_fraction"], summary["mean_cos_distance_last_quartile"],
+             "" if improvement is None else improvement]
         )
     table = out_root / "sweep_summary.csv"
     write_atomic(table, buf.getvalue())
@@ -368,81 +338,20 @@ def cmd_check() -> int:
 
 def _add_override_flags(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("overrides (take precedence over the config file)")
-    g.add_argument("--model-kind", choices=[SOFTMAX_LINEAR, MLP1])
-    g.add_argument("--input-dim", type=int)
-    g.add_argument("--num-classes", type=int)
-    g.add_argument("--hidden-dim", type=int)
-    g.add_argument("--activation", choices=["tanh", "relu"])
-    g.add_argument("--init-sigma", type=float)
-    g.add_argument("--init-seed", type=int)
-    g.add_argument("--data-kind", choices=[GAUSSIAN, WHITE_NOISE, CSV])
-    g.add_argument("--n-per-class", type=int)
-    g.add_argument("--n", type=int)
-    g.add_argument("--sigma", type=float)
-    g.add_argument("--noise-rate", type=float)
-    g.add_argument("--csv-path")
-    g.add_argument("--k", type=int)
-    g.add_argument("--u", type=int)
-    g.add_argument("--steps", type=int)
-    g.add_argument("--aggregator", choices=[AGG_AVERAGING, AGG_GAF])
-    g.add_argument("--tau", type=float)
-    g.add_argument("--pivot", type=int)
-    g.add_argument("--sampling", choices=[STRATIFIED, UNIFORM])
-    g.add_argument("--lr", type=float)
-    g.add_argument("--momentum", type=float)
-    g.add_argument("--weight-decay", type=float)
-    g.add_argument("--patience", type=int)
-    g.add_argument("--lr-factor", type=float)
-    g.add_argument("--min-lr", type=float)
-    g.add_argument("--min-delta", type=float)
-    g.add_argument("--eval-every", type=int)
-    g.add_argument("--val-fraction", type=float)
+    for flag, (where, key) in _flag_keys().items():
+        g.add_argument(flag, type=_key_table()[where][key][0], dest=f"{where}.{key}",
+                       metavar=key.upper(), help=f"sets {where}.{key}")
     g.add_argument("--out", help="output directory")
     g.add_argument("--seed", type=int, action="append",
                    help="replicate seed; repeat the flag for several")
 
 
-_MODEL_FLAGS = {
-    "model_kind": "kind", "input_dim": "input_dim", "num_classes": "num_classes",
-    "hidden_dim": "hidden_dim", "activation": "activation", "init_sigma": "init_sigma",
-    "init_seed": "init_seed",
-}
-_DATA_FLAGS = {
-    "data_kind": "kind", "n_per_class": "n_per_class", "n": "n", "sigma": "sigma",
-    "noise_rate": "noise_rate", "csv_path": "path",
-}
-_RUN_FLAGS = {
-    name: name
-    for name in ("k", "u", "steps", "aggregator", "tau", "pivot", "sampling", "lr",
-                 "momentum", "weight_decay", "patience", "lr_factor", "min_lr",
-                 "min_delta", "eval_every", "val_fraction")
-}
-
-
-def _apply_overrides(raw: dict, args: argparse.Namespace) -> dict:
-    raw = json.loads(json.dumps(raw))  # deep copy
-    run_sec = raw.setdefault("run", {})
-    model_sec = run_sec.setdefault("model", {})
-    data_sec = run_sec.setdefault("data", {})
-    for flag, key in _MODEL_FLAGS.items():
-        v = getattr(args, flag, None)
-        if v is not None:
-            model_sec[key] = v
-    for flag, key in _DATA_FLAGS.items():
-        v = getattr(args, flag, None)
-        if v is not None:
-            data_sec[key] = v
-    for flag, key in _RUN_FLAGS.items():
-        v = getattr(args, flag, None)
-        if v is not None:
-            run_sec[key] = v
-    if getattr(args, "out", None) is not None:
-        raw["output_dir"] = args.out
-    if getattr(args, "seed", None):
-        raw["seeds"] = list(args.seed)
-    # flag-mirrored num_classes/input_dim apply to the model section; the
-    # data section inherits unless the file pinned its own values
-    return raw
+def _overrides(args: argparse.Namespace) -> dict:
+    """The parsed flags as load_experiment overrides."""
+    over = {"top-level config": {"output_dir": args.out, "seeds": args.seed}}
+    for flag, (where, key) in _flag_keys().items():
+        over.setdefault(where, {})[key] = getattr(args, f"{where}.{key}")
+    return over
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -471,9 +380,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"cannot read config: {exc}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from None
-        raw = _apply_overrides(raw, args)
-        exp = load_experiment(raw)
-        build_run_config(exp, exp["seeds"][0])  # validate before any work
+        exp = load_experiment(raw, _overrides(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

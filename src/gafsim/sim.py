@@ -84,6 +84,8 @@ class RunConfig:
             raise ValueError("k and u must be positive")
         if self.aggregator not in (AGG_AVERAGING, AGG_GAF):
             raise ValueError(f"unknown aggregator {self.aggregator!r}")
+        if self.sampling not in (data_mod.STRATIFIED, data_mod.UNIFORM):
+            raise ValueError(f"unknown sampling {self.sampling!r}")
         if not 0.0 <= self.tau <= 2.0:
             raise ValueError("tau must be in [0, 2]")
         if not 0.0 < self.val_fraction < 1.0:

@@ -7,7 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from gafsim.cli import main
+from gafsim import cli
+from gafsim.cli import load_experiment, main
+from gafsim.data import DataConfig
+from gafsim.models import ModelSpec
+from gafsim.sim import RunConfig
 
 
 def minimal_config(tmp_path, **run_overrides):
@@ -85,6 +89,9 @@ class TestRunCommand:
         rundir = tmp_path / "out" / "avg_tau0.97_u3_k2_noise0.2_seed0"
         first = (rundir / "records.jsonl").read_bytes()
         dumped = rundir / "config.json"
+        # the data dims that follow the model are written resolved
+        data = json.loads(dumped.read_text())["run"]["data"]
+        assert (data["num_classes"], data["input_dim"]) == (3, 6)
         assert main(["run", "--config", str(dumped)]) == 0
         assert (rundir / "records.jsonl").read_bytes() == first
 
@@ -158,6 +165,185 @@ class TestSweepCommand:
     def test_sweep_without_section_is_config_error(self, tmp_path):
         path = minimal_config(tmp_path)
         assert main(["sweep", "--config", str(path)]) == 2
+
+
+# (section, key, flag or None, flag value, value in the built RunConfig); a
+# key without a flag is set in the file instead
+KEY_CASES = [
+    ("model", "kind", "--model-kind", "mlp1", "mlp1"),
+    ("model", "input_dim", "--input-dim", "5", 5),
+    ("model", "num_classes", "--num-classes", "4", 4),
+    ("model", "hidden_dim", "--hidden-dim", "7", 7),
+    ("model", "activation", "--activation", "relu", "relu"),
+    ("model", "init_sigma", "--init-sigma", "0.3", 0.3),
+    ("model", "init_seed", "--init-seed", "11", 11),
+    ("data", "kind", "--data-kind", "white_noise", "white_noise"),
+    ("data", "num_classes", None, 3, 3),
+    ("data", "input_dim", None, 6, 6),
+    ("data", "n_per_class", "--n-per-class", "33", 33),
+    ("data", "n", "--n", "123", 123),
+    ("data", "sigma", "--sigma", "0.7", 0.7),
+    ("data", "noise_rate", "--noise-rate", "0.25", 0.25),
+    ("data", "path", "--csv-path", "x.csv", "x.csv"),
+    ("run", "k", "--k", "3", 3),
+    ("run", "u", "--u", "4", 4),
+    ("run", "steps", "--steps", "5", 5),
+    ("run", "aggregator", "--aggregator", "gaf", "gaf"),
+    ("run", "tau", "--tau", "1.01", 1.01),
+    ("run", "pivot", "--pivot", "1", 1),
+    ("run", "sampling", "--sampling", "uniform", "uniform"),
+    ("run", "lr", "--lr", "0.2", 0.2),
+    ("run", "momentum", "--momentum", "0.5", 0.5),
+    ("run", "weight_decay", "--weight-decay", "0.01", 0.01),
+    ("run", "patience", "--patience", "7", 7),
+    ("run", "lr_factor", "--lr-factor", "0.5", 0.5),
+    ("run", "min_lr", "--min-lr", "1e-5", 1e-5),
+    ("run", "min_delta", "--min-delta", "1e-3", 1e-3),
+    ("run", "eval_every", "--eval-every", "3", 3),
+    ("run", "val_fraction", "--val-fraction", "0.3", 0.3),
+]
+
+
+def built_config(monkeypatch, argv) -> RunConfig:
+    """The template RunConfig that `main(argv)` hands to the run command."""
+    seen = []
+    monkeypatch.setattr(cli, "cmd_run", lambda exp: seen.append(exp["run"]) or 0)
+    assert main(argv) == 0
+    return seen[0]
+
+
+class TestConfigSchema:
+    def test_cases_cover_every_dataclass_field(self):
+        keys = {(section, key) for section, key, *_ in KEY_CASES}
+        fields = {("model", f) for f in ModelSpec.__dataclass_fields__}
+        fields |= {("data", f) for f in DataConfig.__dataclass_fields__}
+        fields |= {("run", f) for f in RunConfig.__dataclass_fields__
+                   if f not in ("model", "data", "master_seed")}
+        assert keys == fields
+
+    @pytest.mark.parametrize("section,key,flag,value,expected", KEY_CASES,
+                             ids=[f"{c[0]}.{c[1]}" for c in KEY_CASES])
+    def test_key_lands_in_run_config(self, tmp_path, monkeypatch, section, key, flag, value,
+                                     expected):
+        path = minimal_config(tmp_path)
+        obj = json.loads(path.read_text())
+        obj["run"]["model"]["hidden_dim"] = 2  # lets the kind flip to mlp1
+        argv = ["run", "--config", str(path)]
+        if flag is None:
+            obj["run"][section][key] = value
+        else:
+            argv += [flag, value]
+        path.write_text(json.dumps(obj))
+        cfg = built_config(monkeypatch, argv)
+        target = cfg if section == "run" else getattr(cfg, section)
+        assert getattr(target, key) == expected
+        assert type(getattr(target, key)) is type(expected)
+
+    def test_model_dims_flow_into_data(self, tmp_path, monkeypatch):
+        cfg = built_config(monkeypatch, ["run", "--config", str(minimal_config(tmp_path)),
+                                         "--num-classes", "5", "--input-dim", "9"])
+        assert (cfg.data.num_classes, cfg.data.input_dim) == (5, 9)
+
+    def test_minimal_config_gets_dataclass_defaults(self):
+        obj = {"run": {"model": {"kind": "softmax_linear", "input_dim": 6, "num_classes": 3},
+                       "data": {"kind": "gaussian"}}}
+        exp = load_experiment(obj)
+        assert exp["run"] == RunConfig(
+            model=ModelSpec(kind="softmax_linear", input_dim=6, num_classes=3),
+            data=DataConfig(kind="gaussian", num_classes=3, input_dim=6),
+        )
+        assert (exp["sweep"], exp["output_dir"], exp["seeds"]) == (None, "runs", [0])
+
+    def test_int_values_of_float_keys_are_floats(self):
+        obj = {"run": {"model": {"kind": "softmax_linear", "input_dim": 6, "num_classes": 3,
+                                 "init_sigma": 1},
+                       "data": {"kind": "gaussian", "sigma": 2}, "tau": 1, "lr": 0}}
+        cfg = load_experiment(obj)["run"]
+        assert [type(v) for v in (cfg.model.init_sigma, cfg.data.sigma, cfg.tau, cfg.lr)] == [
+            float] * 4
+
+
+class TestConfigErrors:
+    """Each bad config exits 2, names the key, and writes nothing."""
+
+    def assert_config_error(self, tmp_path, capsys, obj, message, command="run", flags=()):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(obj))
+        assert main([command, "--config", str(path), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert message in err
+        assert not (tmp_path / "out").exists()
+
+    def base(self, tmp_path):
+        return json.loads(minimal_config(tmp_path).read_text())
+
+    @pytest.mark.parametrize("where,value,message", [
+        (("run", "k"), 2.7, "run.k: expected int, got 2.7"),
+        (("run", "steps"), True, "run.steps: expected int, got true"),
+        (("run", "lr"), "0.05", 'run.lr: expected float, got "0.05"'),
+        (("run", "tau"), False, "run.tau: expected float, got false"),
+        (("run", "pivot"), 0.0, "run.pivot: expected int, got 0.0"),
+        (("run", "aggregator"), 1, "run.aggregator: expected str, got 1"),
+        (("run", "model", "kind"), ["mlp1"], 'run.model.kind: expected str, got ["mlp1"]'),
+        (("run", "model", "input_dim"), 6.0, "run.model.input_dim: expected int, got 6.0"),
+        (("run", "data", "noise_rate"), "0.1", 'run.data.noise_rate: expected float, got "0.1"'),
+        (("run", "data", "path"), 3, "run.data.path: expected str, got 3"),
+        (("seeds",), [True], "seeds[0]: expected int, got true"),
+        (("seeds",), [0, 0.5], "seeds[1]: expected int, got 0.5"),
+        (("seeds",), [], "seeds must be a nonempty list of integers"),
+        (("output_dir",), 5, "output_dir: expected str, got 5"),
+    ], ids=["k-float", "steps-bool", "lr-str", "tau-bool", "pivot-float", "aggregator-int",
+            "model.kind-list", "model.input_dim-float", "data.noise_rate-str", "data.path-int",
+            "seeds-bool", "seeds-float", "seeds-empty", "output_dir-int"])
+    def test_mistyped_value(self, tmp_path, capsys, where, value, message):
+        obj = self.base(tmp_path)
+        section = obj
+        for key in where[:-1]:
+            section = section[key]
+        section[where[-1]] = value
+        self.assert_config_error(tmp_path, capsys, obj, message)
+
+    @pytest.mark.parametrize("sweep,message", [
+        ({"noise_rates": [0.0, 1.5]}, "sweep.noise_rates[1]: noise_rate must be in [0, 1]"),
+        ({"noise_rates": [0.0, "x"]}, 'sweep.noise_rates[1]: expected float, got "x"'),
+        ({"u_values": [3.9]}, "sweep.u_values[0]: expected int, got 3.9"),
+        ({"u_values": [3, 0]}, "sweep.u_values[1]: k and u must be positive"),
+        ({"tau_grid": [0.97, 2.5]}, "sweep.tau_grid[1]: tau must be in [0, 2]"),
+        ({"tau_grid": [True]}, "sweep.tau_grid[0]: expected float, got true"),
+    ], ids=["noise-range", "noise-str", "u-float", "u-zero", "tau-range", "tau-bool"])
+    def test_bad_sweep_cell_fails_before_any_run(self, tmp_path, capsys, sweep, message):
+        obj = self.base(tmp_path)
+        obj["sweep"] = sweep
+        self.assert_config_error(tmp_path, capsys, obj, message, command="sweep")
+
+    @pytest.mark.parametrize("mutate,message", [
+        (lambda obj: [1, 2], "top-level config must be an object"),
+        (lambda obj: {**obj, "run": [1]}, "run must be an object"),
+        (lambda obj: {**obj, "run": {**obj["run"], "model": 5}}, "run.model must be an object"),
+        (lambda obj: {**obj, "run": {**obj["run"], "data": "gaussian"}},
+         "run.data must be an object"),
+        (lambda obj: {**obj, "sweep": [0.97]}, "sweep must be an object"),
+    ], ids=["top", "run", "model", "data", "sweep"])
+    def test_non_object_section(self, tmp_path, capsys, mutate, message):
+        obj = mutate(self.base(tmp_path))
+        self.assert_config_error(tmp_path, capsys, obj, message, flags=["--k", "2"])
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--sampling", "strat", "unknown sampling 'strat'"),
+        ("--aggregator", "mean", "unknown aggregator 'mean'"),
+        ("--activation", "sigmoid", "unknown activation 'sigmoid'"),
+        ("--model-kind", "cnn", "unknown model kind 'cnn'"),
+        ("--data-kind", "mnist", "unknown dataset kind 'mnist'"),
+    ], ids=["sampling", "aggregator", "activation", "model-kind", "data-kind"])
+    def test_unknown_choice_flag(self, tmp_path, capsys, flag, value, message):
+        self.assert_config_error(tmp_path, capsys, self.base(tmp_path), message,
+                                 flags=[flag, value])
+
+    def test_unknown_sampling_in_file(self, tmp_path, capsys):
+        obj = self.base(tmp_path)
+        obj["run"]["sampling"] = "strat"
+        self.assert_config_error(tmp_path, capsys, obj, "unknown sampling 'strat'")
 
 
 class TestCheckCommand:

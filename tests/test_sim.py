@@ -81,6 +81,10 @@ class TestStepAccounting:
     def test_pivot_at_last_worker_accepted(self):
         assert base_cfg(k=2, aggregator="gaf", pivot=1).pivot == 1
 
+    def test_unknown_sampling_rejected(self):
+        with pytest.raises(ValueError, match="unknown sampling 'strat'"):
+            base_cfg(sampling="strat")
+
     def test_skips_plus_applied_cover_run(self):
         result = run_detailed(base_cfg(aggregator="gaf", tau=0.5, steps=80))
         skips = sum(r.skipped for r in result.records)
