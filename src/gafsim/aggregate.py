@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gradvec import GradVec, as_gradvec, cosine_distance
+from .gradvec import GradVec, cosine_distance
 
 
 @dataclass(frozen=True)
@@ -60,18 +60,31 @@ class AggregationOutcome:
     pivot: int = field(default=0)
 
 
-def _validated(grads: list[GradVec]) -> list[GradVec]:
+def _validated(grads: list[GradVec] | np.ndarray) -> np.ndarray:
+    """The micro-gradients as one finite (k, P) float64 block.
+
+    A (k, P) array is checked in one pass; a list of vectors is checked
+    per vector, then stacked.
+    """
     if len(grads) == 0:
         raise ValueError("no gradients to aggregate")
-    vecs = [as_gradvec(g) for g in grads]
-    dim = vecs[0].shape[0]
-    for i, v in enumerate(vecs):
-        if v.shape[0] != dim:
-            raise ValueError(f"dimension mismatch at index {i}: {v.shape[0]} vs {dim}")
-    return vecs
+    if not (isinstance(grads, np.ndarray) and grads.ndim == 2):
+        vecs = [np.asarray(g, dtype=np.float64) for g in grads]
+        for i, v in enumerate(vecs):
+            if v.ndim != 1:
+                raise ValueError(f"gradient vector must be 1-D, got shape {v.shape}")
+            if v.shape != vecs[0].shape:
+                raise ValueError(
+                    f"dimension mismatch at index {i}: {v.shape[0]} vs {vecs[0].shape[0]}"
+                )
+        grads = np.stack(vecs)
+    block = np.asarray(grads, dtype=np.float64)
+    if not np.isfinite(block).all():
+        raise ValueError("gradient vector contains non-finite entries")
+    return block
 
 
-def average(grads: list[GradVec]) -> GradVec:
+def average(grads: list[GradVec] | np.ndarray) -> GradVec:
     """Elementwise mean: sum in index order, then divide by the count."""
     vecs = _validated(grads)
     acc = vecs[0].copy()
@@ -80,7 +93,7 @@ def average(grads: list[GradVec]) -> GradVec:
     return acc / len(vecs)
 
 
-def gaf_aggregate(grads: list[GradVec], cfg: GafConfig) -> AggregationOutcome:
+def gaf_aggregate(grads: list[GradVec] | np.ndarray, cfg: GafConfig) -> AggregationOutcome:
     """Filter micro-gradients by cosine agreement with the running sum.
 
     Deterministic given the gradient order and cfg (the pivot draw comes
@@ -129,13 +142,15 @@ def gaf_aggregate(grads: list[GradVec], cfg: GafConfig) -> AggregationOutcome:
     )
 
 
-def gaf_aggregate_all_pivots(grads: list[GradVec], tau: float) -> list[AggregationOutcome]:
+def gaf_aggregate_all_pivots(
+    grads: list[GradVec] | np.ndarray, tau: float
+) -> list[AggregationOutcome]:
     """One aggregation per pivot choice, for probing order sensitivity."""
     vecs = _validated(grads)
     return [gaf_aggregate(vecs, GafConfig(tau=tau, pivot=s)) for s in range(len(vecs))]
 
 
-def running_scan_distances(grads: list[GradVec]) -> list[float]:
+def running_scan_distances(grads: list[GradVec] | np.ndarray) -> list[float]:
     """Cosine distances of each gradient against the index-order running sum.
 
     Mirrors the agreement scan with pivot 0 and an all-admitting threshold.

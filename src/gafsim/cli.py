@@ -118,6 +118,14 @@ def _kwargs(section: dict, where: str) -> dict:
     return out
 
 
+def _build(cls, where: str, **kwargs):
+    """cls(**kwargs), its range errors as ConfigErrors that name the section."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
 def load_experiment(obj, overrides: dict | None = None) -> dict:
     """Validate a raw config object, with overrides laid over it, into a
     template RunConfig ("run") plus sweep, output_dir, and seeds.
@@ -141,11 +149,8 @@ def load_experiment(obj, overrides: dict | None = None) -> dict:
         raise ConfigError("run.data.num_classes conflicts with run.model.num_classes")
     if data["kind"] != CSV and data["input_dim"] != model["input_dim"]:
         raise ConfigError("run.data.input_dim conflicts with run.model.input_dim")
-    try:
-        template = RunConfig(model=ModelSpec(**model), data=DataConfig(**data),
-                             **_kwargs(run_sec, "run"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    template = _build(RunConfig, "run", model=_build(ModelSpec, "run.model", **model),
+                      data=_build(DataConfig, "run.data", **data), **_kwargs(run_sec, "run"))
 
     sweep = None if top.get("sweep") is None else _section(top["sweep"], "sweep", _SWEEP_AXES)
     seeds = top.get("seeds", [0])

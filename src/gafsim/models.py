@@ -18,8 +18,9 @@ from .gradvec import GradVec
 SOFTMAX_LINEAR = "softmax_linear"
 MLP1 = "mlp1"
 
-# rows per forward pass in predict: bounds the (rows, hidden) temporaries
-_PREDICT_CHUNK = 512
+# OpenBLAS runs a matrix product on one thread when m*n*k is at most this
+# (4 * 65536); larger products wake a second thread that then spins
+_BLAS_SERIAL_MNK = 2**18
 
 
 @dataclass(frozen=True)
@@ -61,6 +62,24 @@ class ModelSpec:
         ]
 
 
+def _layer_views(flat: np.ndarray, shapes) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-layer (weight, bias) views into the last axis of `flat`, in flatten order.
+
+    A leading axis (one row per worker) carries through to every view.
+    """
+    lead = flat.shape[:-1]
+    views = []
+    offset = 0
+    for (rows, cols), (n_bias,) in shapes:
+        w = flat[..., offset : offset + rows * cols].reshape(lead + (rows, cols))
+        offset += rows * cols
+        views.append((w, flat[..., offset : offset + n_bias]))
+        offset += n_bias
+    if offset != flat.shape[-1]:
+        raise ValueError(f"flat vector has {flat.shape[-1]} entries, expected {offset}")
+    return views
+
+
 @dataclass
 class Params:
     """All parameters as one flat float64 vector.
@@ -75,15 +94,7 @@ class Params:
     layers: list[tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.layers = []
-        offset = 0
-        for (rows, cols), (n_bias,) in self.shapes:
-            w = self.flat[offset : offset + rows * cols].reshape(rows, cols)
-            offset += rows * cols
-            self.layers.append((w, self.flat[offset : offset + n_bias]))
-            offset += n_bias
-        if offset != self.flat.shape[0]:
-            raise ValueError(f"flat vector has {self.flat.shape[0]} entries, expected {offset}")
+        self.layers = _layer_views(self.flat, self.shapes)
 
     @property
     def total_dim(self) -> int:
@@ -111,8 +122,8 @@ def init_params(spec: ModelSpec) -> Params:
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def loss_and_grad(
@@ -121,67 +132,73 @@ def loss_and_grad(
     labels: np.ndarray,
     spec: ModelSpec,
     weight_decay: float = 0.0,
-) -> tuple[float, GradVec]:
+) -> tuple[float, GradVec] | tuple[np.ndarray, np.ndarray]:
     """Mean cross-entropy plus (weight_decay/2) * ||weights||^2, with its gradient.
 
     The decay term covers weight matrices only, never biases, and is folded
     into the gradient so every micro-gradient already carries regularization.
-    Returns the gradient flattened in parameter order.
+
+    (u, d) features with (u,) labels give (loss, gradient flattened in
+    parameter order). Stacked (k, u, d) features with (k, u) labels
+    evaluate k microbatches in one pass and give ((k,) losses, (k, P)
+    gradients), row i bit-identical to the call on microbatch i alone: every
+    reduction and matrix product runs per microbatch, in the same order.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
-    if features.ndim != 2 or features.shape[0] == 0:
-        raise ValueError("batch must be a nonempty 2-D feature array")
-    if features.shape[0] != labels.shape[0]:
+    stacked = features.ndim == 3
+    if not stacked:
+        features, labels = features[None], labels[None]
+    if features.ndim != 3 or features.shape[0] == 0 or features.shape[1] == 0:
+        raise ValueError("batch must be a nonempty 2-D (or stacked 3-D) feature array")
+    if labels.shape != features.shape[:2]:
         raise ValueError("features and labels disagree on batch size")
-    if features.shape[1] != spec.input_dim:
-        raise ValueError(
-            f"feature dim {features.shape[1]} does not match spec.input_dim {spec.input_dim}"
-        )
-    n = features.shape[0]
-    rows = np.arange(n)
+    k, n, d = features.shape
+    if d != spec.input_dim:
+        raise ValueError(f"feature dim {d} does not match spec.input_dim {spec.input_dim}")
+    c = spec.num_classes
+    if labels.min() < 0 or labels.max() >= c:
+        raise ValueError(f"labels must be in [0, {c})")
+    # flat index of each row's label entry in a (k, n, c) array
+    picks = np.arange(0, k * n * c, c) + labels.ravel()
 
+    grad = np.empty((k, params.total_dim))
+    views = _layer_views(grad, params.shapes)
     if spec.kind == SOFTMAX_LINEAR:
-        (w, b) = params.layers[0]
-        logits = features @ w.T + b
-        log_p = _log_softmax(logits)
-        ce = -log_p[rows, labels].mean()
-        probs = np.exp(log_p)
-        dlogits = probs
-        dlogits[rows, labels] -= 1.0
-        dlogits /= n
-        gw = dlogits.T @ features + weight_decay * w
-        gb = dlogits.sum(axis=0)
-        loss = ce + 0.5 * weight_decay * float((w * w).sum())
-        grad = np.concatenate([gw.ravel(), gb])
+        ((w, b),) = params.layers
+        last_in = features
     else:
-        (w1, b1), (w2, b2) = params.layers
+        (w1, b1), (w, b) = params.layers
         pre = features @ w1.T + b1
-        hidden = np.tanh(pre) if spec.activation == "tanh" else np.maximum(pre, 0.0)
-        logits = hidden @ w2.T + b2
-        log_p = _log_softmax(logits)
-        ce = -log_p[rows, labels].mean()
-        probs = np.exp(log_p)
-        dlogits = probs
-        dlogits[rows, labels] -= 1.0
-        dlogits /= n
-        gw2 = dlogits.T @ hidden + weight_decay * w2
-        gb2 = dlogits.sum(axis=0)
-        dhidden = dlogits @ w2
+        last_in = np.tanh(pre) if spec.activation == "tanh" else np.maximum(pre, 0.0)
+    log_p = _log_softmax(last_in @ w.T + b)
+    ce = -log_p.reshape(-1)[picks].reshape(k, n).mean(axis=-1)
+    dlogits = np.exp(log_p)
+    dlogits.reshape(-1)[picks] -= 1.0
+    dlogits /= n
+    gw, gb = views[-1]
+    np.matmul(dlogits.transpose(0, 2, 1), last_in, out=gw)
+    gw += weight_decay * w
+    dlogits.sum(axis=1, out=gb)
+    reg = (w * w).sum()
+    if spec.kind == MLP1:
+        dhidden = dlogits @ w
         if spec.activation == "tanh":
-            dpre = dhidden * (1.0 - hidden * hidden)
+            dpre = dhidden * (1.0 - last_in * last_in)
         else:
             # relu subgradient at exactly 0 is taken as 0
             dpre = dhidden * (pre > 0.0)
-        gw1 = dpre.T @ features + weight_decay * w1
-        gb1 = dpre.sum(axis=0)
-        loss = ce + 0.5 * weight_decay * float((w1 * w1).sum() + (w2 * w2).sum())
-        grad = np.concatenate([gw1.ravel(), gb1, gw2.ravel(), gb2])
+        gw1, gb1 = views[0]
+        np.matmul(dpre.transpose(0, 2, 1), features, out=gw1)
+        gw1 += weight_decay * w1
+        dpre.sum(axis=1, out=gb1)
+        reg = (w1 * w1).sum() + reg
+    # the add also runs at weight_decay 0: it turns a -0.0 cross-entropy into 0.0
+    losses = ce + 0.5 * weight_decay * float(reg)
 
-    loss = float(loss)
-    if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
+    if not np.isfinite(losses).all() or not np.isfinite(grad).all():
         raise ValueError("non-finite loss or gradient")
-    return loss, grad
+    return (losses, grad) if stacked else (float(losses[0]), grad[0])
 
 
 def _predict_rows(params: Params, features: np.ndarray, spec: ModelSpec) -> np.ndarray:
@@ -196,17 +213,25 @@ def _predict_rows(params: Params, features: np.ndarray, spec: ModelSpec) -> np.n
     return logits.argmax(axis=1)
 
 
+def _predict_chunk_rows(params: Params) -> int:
+    """Rows per predict chunk: every matmul in a chunk has m*n*k <= _BLAS_SERIAL_MNK."""
+    return max(1, _BLAS_SERIAL_MNK // max(w.size for w, _ in params.layers))
+
+
 def predict(params: Params, features: np.ndarray, spec: ModelSpec) -> np.ndarray:
     """Argmax class per row; ties resolve to the lowest class index.
 
-    Rows are evaluated in fixed-size chunks, so the temporaries stay small
-    however large the evaluated set is (an empty set is one empty chunk).
+    Rows are evaluated in chunks small enough that BLAS runs each product
+    on one thread, so evaluation never wakes (and leaves spinning) a second
+    BLAS thread, and the temporaries stay small however large the evaluated
+    set is (an empty set is one empty chunk).
     """
     features = np.asarray(features, dtype=np.float64)
+    rows = _predict_chunk_rows(params)
     return np.concatenate(
         [
-            _predict_rows(params, features[i : i + _PREDICT_CHUNK], spec)
-            for i in range(0, max(features.shape[0], 1), _PREDICT_CHUNK)
+            _predict_rows(params, features[i : i + rows], spec)
+            for i in range(0, max(features.shape[0], 1), rows)
         ]
     )
 

@@ -4,8 +4,9 @@ A worker is one microbatch gradient evaluation against an immutable
 snapshot of the parameters; there is no wire protocol. Every source of
 randomness (dataset generation, label noise, train/val split, per-step
 sampling, pivot draws, initialization) derives from master_seed through a
-splitmix64 chain, and the k micro-gradients are evaluated one after another
-in worker order, so runs are bit-reproducible from master_seed alone.
+splitmix64 chain, and the k micro-gradients are evaluated in one stacked
+pass whose row i is bit-identical to worker i's gradient evaluated alone,
+so runs are bit-reproducible from master_seed alone.
 
 The validation split is carved from the generated dataset and always
 scored against clean labels, even when the training labels are noisy.
@@ -86,6 +87,14 @@ class RunConfig:
             raise ValueError(f"unknown aggregator {self.aggregator!r}")
         if self.sampling not in (data_mod.STRATIFIED, data_mod.UNIFORM):
             raise ValueError(f"unknown sampling {self.sampling!r}")
+        # a CSV file's class count is known only once it is read: sampling checks it at step 1
+        classes = self.data.num_classes
+        if self.sampling == data_mod.STRATIFIED and self.data.kind != data_mod.CSV:
+            if self.u % classes != 0:
+                raise ValueError(
+                    f"stratified sampling needs u divisible by num_classes "
+                    f"({self.u} % {classes} != 0)"
+                )
         if not 0.0 <= self.tau <= 2.0:
             raise ValueError("tau must be in [0, 2]")
         if not 0.0 < self.val_fraction < 1.0:
@@ -142,11 +151,14 @@ def run_detailed(cfg: RunConfig) -> RunResult:
             train, cfg.k, cfg.u, cfg.sampling, derive_seed(master, _TAG_STEP, t)
         )
         try:
-            losses, grads = [], []
-            for mb in batches:
-                loss, grad = loss_and_grad(params, mb.features, mb.labels, spec, cfg.weight_decay)
-                losses.append(loss)
-                grads.append(grad)
+            losses, grads = loss_and_grad(
+                params,
+                np.stack([mb.features for mb in batches]),
+                np.stack([mb.labels for mb in batches]),
+                spec,
+                cfg.weight_decay,
+            )
+            losses = losses.tolist()
             train_loss = losses[0]
             for v in losses[1:]:
                 train_loss += v

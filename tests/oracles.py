@@ -56,3 +56,45 @@ def finite_difference_grad(loss_fn, flat, indices, h=1e-5):
         lo[idx] -= h
         out[idx] = (loss_fn(hi) - loss_fn(lo)) / (2 * h)
     return out
+
+
+def single_batch_loss_and_grad(params, features, labels, spec, weight_decay=0.0):
+    """One (u, d) microbatch, written out with 2-D products and no shared
+    views: the arithmetic, in its order, that the stacked library path must
+    reproduce bit for bit for each of its rows."""
+    n = features.shape[0]
+    rows = np.arange(n)
+
+    def log_softmax(logits):
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+    if spec.kind == "softmax_linear":
+        (w, b) = params.layers[0]
+        log_p = log_softmax(features @ w.T + b)
+        ce = -log_p[rows, labels].mean()
+        dlogits = np.exp(log_p)
+        dlogits[rows, labels] -= 1.0
+        dlogits /= n
+        gw = dlogits.T @ features + weight_decay * w
+        loss = ce + 0.5 * weight_decay * float((w * w).sum())
+        return float(loss), np.concatenate([gw.ravel(), dlogits.sum(axis=0)])
+    (w1, b1), (w2, b2) = params.layers
+    pre = features @ w1.T + b1
+    hidden = np.tanh(pre) if spec.activation == "tanh" else np.maximum(pre, 0.0)
+    log_p = log_softmax(hidden @ w2.T + b2)
+    ce = -log_p[rows, labels].mean()
+    dlogits = np.exp(log_p)
+    dlogits[rows, labels] -= 1.0
+    dlogits /= n
+    gw2 = dlogits.T @ hidden + weight_decay * w2
+    dhidden = dlogits @ w2
+    if spec.activation == "tanh":
+        dpre = dhidden * (1.0 - hidden * hidden)
+    else:
+        dpre = dhidden * (pre > 0.0)
+    gw1 = dpre.T @ features + weight_decay * w1
+    loss = ce + 0.5 * weight_decay * float((w1 * w1).sum() + (w2 * w2).sum())
+    return float(loss), np.concatenate(
+        [gw1.ravel(), dpre.sum(axis=0), gw2.ravel(), dlogits.sum(axis=0)]
+    )

@@ -1,0 +1,97 @@
+"""Digests of seeded random training runs, to show a change keeps records byte-identical.
+
+    PYTHONPATH=src python3 tests/records_digest.py 300 > after.json
+    PYTHONPATH=/path/to/parent/src python3 tests/records_digest.py 300 > before.json
+    diff before.json after.json
+
+Prints one JSON object, config index -> sha256 over the run's
+``records.jsonl`` and ``records.csv`` bytes (as ``write_records`` writes
+them) followed by its final parameter vector's bytes. Config i is drawn
+from a generator seeded with i, so a given N names the same configs under
+any version of gafsim. The draws cover both model kinds, both activations,
+both sampling modes, both aggregators, k 1-5, weight decay 0 and > 0, and
+datasets of up to 3500 rows (so evaluation spans several chunks). A run
+that fails digests its error message instead.
+
+This is a script, not a test module: pytest does not collect it. The
+golden-digest tests import ``run_digest`` from it.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from gafsim.data import DataConfig
+from gafsim.models import ModelSpec
+from gafsim.sim import RunConfig, run_detailed
+from gafsim.telemetry import write_records
+
+
+def run_digest(cfg: RunConfig) -> str:
+    """sha256 of the run's records files plus its final parameters."""
+    result = run_detailed(cfg)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "records.jsonl"
+        write_records(result.records, path)
+        blob = path.read_bytes() + path.with_suffix(".csv").read_bytes()
+    return hashlib.sha256(blob + result.params.flat.tobytes()).hexdigest()
+
+
+def random_config(index: int) -> RunConfig:
+    rng = np.random.default_rng(index)
+    num_classes = int(rng.integers(2, 6))
+    input_dim = int(rng.integers(2, 20))
+    kind = str(rng.choice(["softmax_linear", "mlp1"]))
+    model = ModelSpec(
+        kind=kind,
+        input_dim=input_dim,
+        num_classes=num_classes,
+        hidden_dim=int(rng.integers(1, 40)) if kind == "mlp1" else 0,
+        activation=str(rng.choice(["tanh", "relu"])),
+        init_sigma=float(rng.choice([0.1, 0.5, 2.0])),
+        init_seed=int(rng.integers(1 << 20)),
+    )
+    per_class = int(rng.choice([60, 300, 700]))
+    if rng.random() < 0.5:
+        data = DataConfig(kind="gaussian", num_classes=num_classes, input_dim=input_dim,
+                          n_per_class=per_class, sigma=float(rng.uniform(0.2, 2.0)),
+                          noise_rate=float(rng.choice([0.0, 0.2, 0.5])))
+    else:
+        data = DataConfig(kind="white_noise", num_classes=num_classes, input_dim=input_dim,
+                          n=per_class * num_classes)
+    k = int(rng.integers(1, 6))
+    sampling = str(rng.choice(["stratified", "uniform"]))
+    u = num_classes * int(rng.integers(1, 4)) if sampling == "stratified" else int(
+        rng.integers(1, 31))
+    aggregator = str(rng.choice(["avg", "gaf"]))
+    return RunConfig(
+        model=model, data=data, k=k, u=u, steps=int(rng.integers(20, 80)),
+        aggregator=aggregator, tau=float(rng.uniform(0.5, 1.5)),
+        pivot=None if rng.random() < 0.7 else int(rng.integers(k)), sampling=sampling,
+        lr=float(rng.choice([0.01, 0.05, 0.2])), momentum=float(rng.choice([0.0, 0.9])),
+        weight_decay=float(rng.choice([0.0, 0.0, 1e-3, 0.05])), patience=int(rng.integers(1, 4)),
+        eval_every=int(rng.integers(5, 30)), val_fraction=0.25, master_seed=index,
+    )
+
+
+def digest_or_error(cfg: RunConfig) -> str:
+    try:
+        return run_digest(cfg)
+    except (ValueError, RuntimeError) as exc:
+        return "error: " + hashlib.sha256(str(exc).encode()).hexdigest()
+
+
+def main(argv: list[str]) -> int:
+    n = int(argv[1]) if len(argv) > 1 else 300
+    print(json.dumps({i: digest_or_error(random_config(i)) for i in range(n)}, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv))

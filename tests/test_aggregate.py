@@ -137,6 +137,44 @@ class TestScanDistances:
         assert running_scan_distances(grads) == out.pairwise_distances
 
 
+class TestGradientBlock:
+    """A (k, P) array is accepted wherever a list of k vectors is."""
+
+    def test_block_equals_list_of_rows(self, rng):
+        block = rng.normal(size=(4, 33))
+        rows = list(block)
+        cfg = GafConfig(tau=1.0, rng_seed=3)
+        a, b = gaf_aggregate(block, cfg), gaf_aggregate(rows, cfg)
+        assert a.gradient.tobytes() == b.gradient.tobytes()
+        assert (a.accepted_mask, a.pairwise_distances) == (b.accepted_mask, b.pairwise_distances)
+        assert average(block).tobytes() == average(rows).tobytes()
+        assert running_scan_distances(block) == running_scan_distances(rows)
+
+    def test_block_is_not_modified(self, rng):
+        block = rng.normal(size=(3, 8))
+        before = block.copy()
+        gaf_aggregate(block, GafConfig(tau=2.0, pivot=1))
+        average(block)
+        assert np.array_equal(block, before)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("as_list", [False, True], ids=["block", "list"])
+    def test_non_finite_entry_errors(self, bad, as_list):
+        block = np.ones((3, 4))
+        block[2, 1] = bad
+        grads = list(block) if as_list else block
+        for call in (average, running_scan_distances,
+                     lambda g: gaf_aggregate(g, GafConfig(tau=1.0, pivot=0))):
+            with pytest.raises(ValueError, match="non-finite"):
+                call(grads)
+
+    def test_non_vector_element_errors(self):
+        with pytest.raises(ValueError, match="must be 1-D"):
+            average([v(1, 2), np.ones((2, 2))])
+        with pytest.raises(ValueError, match="must be 1-D"):
+            average(np.ones((2, 2, 2)))
+
+
 @pytest.mark.properties
 class TestProperties:
     def test_baseline_equivalence(self, rng):

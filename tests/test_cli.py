@@ -186,7 +186,7 @@ KEY_CASES = [
     ("data", "noise_rate", "--noise-rate", "0.25", 0.25),
     ("data", "path", "--csv-path", "x.csv", "x.csv"),
     ("run", "k", "--k", "3", 3),
-    ("run", "u", "--u", "4", 4),
+    ("run", "u", "--u", "6", 6),
     ("run", "steps", "--steps", "5", 5),
     ("run", "aggregator", "--aggregator", "gaf", "gaf"),
     ("run", "tau", "--tau", "1.01", 1.01),
@@ -228,6 +228,7 @@ class TestConfigSchema:
         path = minimal_config(tmp_path)
         obj = json.loads(path.read_text())
         obj["run"]["model"]["hidden_dim"] = 2  # lets the kind flip to mlp1
+        obj["run"]["u"] = 12  # stratified: divisible by the 3 and 4 classes used here
         argv = ["run", "--config", str(path)]
         if flag is None:
             obj["run"][section][key] = value
@@ -240,22 +241,22 @@ class TestConfigSchema:
         assert type(getattr(target, key)) is type(expected)
 
     def test_model_dims_flow_into_data(self, tmp_path, monkeypatch):
-        cfg = built_config(monkeypatch, ["run", "--config", str(minimal_config(tmp_path)),
+        cfg = built_config(monkeypatch, ["run", "--config", str(minimal_config(tmp_path, u=5)),
                                          "--num-classes", "5", "--input-dim", "9"])
         assert (cfg.data.num_classes, cfg.data.input_dim) == (5, 9)
 
     def test_minimal_config_gets_dataclass_defaults(self):
-        obj = {"run": {"model": {"kind": "softmax_linear", "input_dim": 6, "num_classes": 3},
+        obj = {"run": {"model": {"kind": "softmax_linear", "input_dim": 6, "num_classes": 5},
                        "data": {"kind": "gaussian"}}}
         exp = load_experiment(obj)
         assert exp["run"] == RunConfig(
-            model=ModelSpec(kind="softmax_linear", input_dim=6, num_classes=3),
-            data=DataConfig(kind="gaussian", num_classes=3, input_dim=6),
+            model=ModelSpec(kind="softmax_linear", input_dim=6, num_classes=5),
+            data=DataConfig(kind="gaussian", num_classes=5, input_dim=6),
         )
         assert (exp["sweep"], exp["output_dir"], exp["seeds"]) == (None, "runs", [0])
 
     def test_int_values_of_float_keys_are_floats(self):
-        obj = {"run": {"model": {"kind": "softmax_linear", "input_dim": 6, "num_classes": 3,
+        obj = {"run": {"model": {"kind": "softmax_linear", "input_dim": 6, "num_classes": 5,
                                  "init_sigma": 1},
                        "data": {"kind": "gaussian", "sigma": 2}, "tau": 1, "lr": 0}}
         cfg = load_experiment(obj)["run"]
@@ -309,13 +310,37 @@ class TestConfigErrors:
         ({"noise_rates": [0.0, "x"]}, 'sweep.noise_rates[1]: expected float, got "x"'),
         ({"u_values": [3.9]}, "sweep.u_values[0]: expected int, got 3.9"),
         ({"u_values": [3, 0]}, "sweep.u_values[1]: k and u must be positive"),
+        ({"u_values": [3, 4]},
+         "sweep.u_values[1]: stratified sampling needs u divisible by num_classes (4 % 3 != 0)"),
         ({"tau_grid": [0.97, 2.5]}, "sweep.tau_grid[1]: tau must be in [0, 2]"),
         ({"tau_grid": [True]}, "sweep.tau_grid[0]: expected float, got true"),
-    ], ids=["noise-range", "noise-str", "u-float", "u-zero", "tau-range", "tau-bool"])
+    ], ids=["noise-range", "noise-str", "u-float", "u-zero", "u-classes", "tau-range",
+            "tau-bool"])
     def test_bad_sweep_cell_fails_before_any_run(self, tmp_path, capsys, sweep, message):
         obj = self.base(tmp_path)
         obj["sweep"] = sweep
         self.assert_config_error(tmp_path, capsys, obj, message, command="sweep")
+
+    @pytest.mark.parametrize("where,value,message", [
+        (("run", "data", "noise_rate"), 1.5, "run.data: noise_rate must be in [0, 1]"),
+        (("run", "steps"), 0, "run: steps must be >= 1"),
+        (("run", "model", "kind"), "mlp1", "run.model: mlp1 requires hidden_dim >= 1"),
+        (("run", "u"), 4, "run: stratified sampling needs u divisible by num_classes (4 % 3 != 0)"),
+    ], ids=["noise_rate", "steps", "hidden_dim", "u-classes"])
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_range_error_names_section(self, tmp_path, capsys, where, value, message, command):
+        obj = self.base(tmp_path)
+        obj["sweep"] = {"tau_grid": [0.97]}
+        section = obj
+        for key in where[:-1]:
+            section = section[key]
+        section[where[-1]] = value
+        self.assert_config_error(tmp_path, capsys, obj, message, command=command)
+
+    def test_range_error_from_flag_names_section(self, tmp_path, capsys):
+        self.assert_config_error(tmp_path, capsys, self.base(tmp_path),
+                                 "run.data: noise_rate must be in [0, 1]",
+                                 flags=["--noise-rate", "1.5"])
 
     @pytest.mark.parametrize("mutate,message", [
         (lambda obj: [1, 2], "top-level config must be an object"),

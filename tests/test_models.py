@@ -16,7 +16,7 @@ from gafsim.models import (
 )
 
 from conftest import N_PROPERTY_CASES
-from oracles import finite_difference_grad
+from oracles import finite_difference_grad, single_batch_loss_and_grad
 
 LINEAR = ModelSpec(kind=SOFTMAX_LINEAR, input_dim=6, num_classes=4, init_sigma=0.5, init_seed=1)
 MLP_TANH = ModelSpec(
@@ -26,6 +26,12 @@ MLP_RELU = ModelSpec(
     kind=MLP1, input_dim=6, num_classes=4, hidden_dim=5, activation="relu", init_sigma=0.5, init_seed=3
 )
 ALL_SPECS = [LINEAR, MLP_TANH, MLP_RELU]
+# the models of the benchmark's noisy-cluster and noise-sweep workloads
+BENCH_SPECS = [
+    ModelSpec(kind=MLP1, input_dim=32, num_classes=10, hidden_dim=128, activation="relu"),
+    ModelSpec(kind=MLP1, input_dim=32, num_classes=10, hidden_dim=64, activation="tanh",
+              init_sigma=10.0),
+]
 
 
 def random_batch(rng, spec, n=12):
@@ -151,12 +157,12 @@ class TestAccuracy:
 
 
 class TestPredict:
-    CHUNK = models._PREDICT_CHUNK
-
+    # offsets from the chunk size: one short, exact, one over, two chunks and a bit
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=["linear", "mlp_tanh", "mlp_relu"])
-    @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
-    def test_chunked_equals_single_pass(self, spec, n, rng):
+    @pytest.mark.parametrize("chunks,extra", [(1, -1), (1, 0), (1, 1), (2, 3)])
+    def test_chunked_equals_single_pass(self, spec, chunks, extra, rng):
         params = init_params(spec)
+        n = chunks * models._predict_chunk_rows(params) + extra
         x = rng.normal(size=(n, spec.input_dim))
         single = models._predict_rows(params, x, spec)
         assert single.shape == (n,)
@@ -165,6 +171,59 @@ class TestPredict:
     def test_empty_set_predicts_nothing(self):
         out = predict(init_params(MLP_RELU), np.zeros((0, 6)), MLP_RELU)
         assert out.shape == (0,)
+
+    @pytest.mark.parametrize("spec", BENCH_SPECS, ids=["relu128", "tanh64"])
+    def test_every_chunk_stays_under_blas_serial_cutoff(self, spec, monkeypatch):
+        # m*n*k <= 2^18 keeps each OpenBLAS product on one thread
+        chunks = []
+        real = models._predict_rows
+
+        def recording(params, features, spec):
+            chunks.append(features.shape[0])
+            return real(params, features, spec)
+
+        monkeypatch.setattr(models, "_predict_rows", recording)
+        params = init_params(spec)
+        x = np.random.default_rng(0).normal(size=(1000, spec.input_dim))
+        predict(params, x, spec)
+        assert sum(chunks) == 1000 and len(chunks) > 1
+        for rows in chunks:
+            for w, _ in params.layers:
+                assert rows * w.size <= 2**18
+        # and no smaller than the cutoff allows
+        assert (chunks[0] + 1) * max(w.size for w, _ in params.layers) > 2**18
+
+
+class TestStacked:
+    """(k, u, d) features evaluate k microbatches in one call."""
+
+    def test_label_out_of_range_errors(self, rng):
+        x, y = random_batch(rng, LINEAR)
+        for bad in (-1, LINEAR.num_classes):
+            y[0] = bad
+            with pytest.raises(ValueError, match="labels"):
+                loss_and_grad(init_params(LINEAR), x, y, LINEAR)
+
+    def test_stacked_label_shape_mismatch_errors(self, rng):
+        x = rng.normal(size=(2, 5, 6))
+        with pytest.raises(ValueError, match="disagree"):
+            loss_and_grad(init_params(LINEAR), x, np.zeros((2, 4), dtype=int), LINEAR)
+
+    def test_negative_zero_cross_entropy_reads_as_zero(self):
+        # one dominant logit: every picked log-probability is exactly 0.0, so
+        # the cross-entropy is -0.0; the returned loss must still be +0.0
+        spec = ModelSpec(kind=SOFTMAX_LINEAR, input_dim=3, num_classes=4, init_sigma=0.0)
+        params = init_params(spec)
+        params.layers[0][1][0] = 1000.0
+        x = np.random.default_rng(1).normal(size=(5, 3))
+        y = np.zeros(5, dtype=int)
+        log_p = models._log_softmax(x @ params.layers[0][0].T + params.layers[0][1])
+        ce = -log_p[np.arange(5), y].mean()
+        assert ce == 0.0 and math.copysign(1.0, ce) == -1.0
+        loss, _ = loss_and_grad(params, x, y, spec)
+        assert math.copysign(1.0, loss) == 1.0
+        losses, _ = loss_and_grad(params, np.stack([x, x]), np.stack([y, y]), spec)
+        assert [math.copysign(1.0, v) for v in losses] == [1.0, 1.0]
 
 
 @pytest.mark.properties
@@ -236,6 +295,34 @@ class TestProperties:
                 for i in range(k)
             ]
             assert np.allclose(sum(micro) / k, union_grad, atol=1e-10)
+
+    def test_stacked_equals_single_calls_bytewise(self, rng):
+        # both kinds and activations, k 1-5, u 1-30, weight decay 0 and > 0;
+        # each row must match the 2-D call and the 2-D reference arithmetic
+        for case in range(N_PROPERTY_CASES):
+            base = ALL_SPECS[case % len(ALL_SPECS)]
+            spec = ModelSpec(
+                kind=base.kind,
+                input_dim=int(rng.integers(1, 12)),
+                num_classes=int(rng.integers(2, 8)),
+                hidden_dim=int(rng.integers(1, 20)),
+                activation=base.activation,
+                init_sigma=float(rng.choice([0.1, 1.0, 5.0])),
+                init_seed=int(rng.integers(1 << 31)),
+            )
+            params = init_params(spec)
+            k = int(rng.integers(1, 6))
+            u = int(rng.integers(1, 31))
+            x = rng.normal(size=(k, u, spec.input_dim))
+            y = rng.integers(0, spec.num_classes, size=(k, u))
+            wd = float(rng.choice([0.0, 1e-3, 0.1]))
+            losses, grads = loss_and_grad(params, x, y, spec, weight_decay=wd)
+            assert losses.shape == (k,) and grads.shape == (k, params.total_dim)
+            for i in range(k):
+                loss, grad = loss_and_grad(params, x[i], y[i], spec, weight_decay=wd)
+                ref_loss, ref_grad = single_batch_loss_and_grad(params, x[i], y[i], spec, wd)
+                assert losses[i] == loss == ref_loss
+                assert grads[i].tobytes() == grad.tobytes() == ref_grad.tobytes()
 
     def test_flatten_unflatten_roundtrip(self, rng):
         for _ in range(N_PROPERTY_CASES):

@@ -17,6 +17,7 @@ from gafsim.telemetry import write_records
 from dataclasses import replace
 
 from conftest import N_PROPERTY_CASES
+from records_digest import run_digest
 
 DATA = DataConfig(kind="gaussian", num_classes=5, input_dim=8, n_per_class=60,
                   sigma=0.6, noise_rate=0.2)
@@ -84,6 +85,24 @@ class TestStepAccounting:
     def test_unknown_sampling_rejected(self):
         with pytest.raises(ValueError, match="unknown sampling 'strat'"):
             base_cfg(sampling="strat")
+
+    @pytest.mark.parametrize("kind", ["gaussian", "white_noise"])
+    def test_stratified_u_not_divisible_by_classes_rejected(self, kind):
+        data = DataConfig(kind=kind, num_classes=5, input_dim=8)
+        with pytest.raises(ValueError, match=r"u divisible by num_classes \(4 % 5 != 0\)"):
+            base_cfg(data=data, u=4)
+        assert base_cfg(data=data, u=4, sampling="uniform").u == 4
+
+    def test_csv_u_checked_only_once_read(self, tmp_path):
+        # a CSV file's class count is unknown until it is read: the check is at step 1
+        path = tmp_path / "d.csv"
+        rows = [f"{i % 7}.0,{i % 3}" for i in range(60)]
+        path.write_text("f0,label\n" + "\n".join(rows) + "\n")
+        model = ModelSpec(kind=SOFTMAX_LINEAR, input_dim=1, num_classes=3)
+        cfg = base_cfg(model=model, data=DataConfig(kind="csv", num_classes=3, input_dim=1,
+                                                    path=str(path)), u=4)
+        with pytest.raises(ValueError, match="divisible"):
+            run(cfg)
 
     def test_skips_plus_applied_cover_run(self):
         result = run_detailed(base_cfg(aggregator="gaf", tau=0.5, steps=80))
@@ -216,3 +235,36 @@ class TestProperties:
             result = run_detailed(cfg)
             assert result.opt.step_count + result.opt.skip_count == steps
             assert result.opt.skip_count == sum(r.skipped for r in result.records)
+
+
+# the noisy-cluster and noise-sweep tasks of the benchmark, as RunConfigs
+CLUSTER = RunConfig(
+    model=ModelSpec(kind=MLP1, input_dim=32, num_classes=10, hidden_dim=128, activation="relu",
+                    init_sigma=0.1),
+    data=DataConfig(kind="gaussian", num_classes=10, input_dim=32, n_per_class=500, sigma=0.3,
+                    noise_rate=0.4),
+    k=2, u=10, steps=200, lr=0.05, momentum=0.9, eval_every=100, val_fraction=0.2,
+)
+NOISE_SWEEP_CELL = RunConfig(
+    model=ModelSpec(kind=MLP1, input_dim=32, num_classes=10, hidden_dim=64, activation="tanh",
+                    init_sigma=10.0),
+    data=DataConfig(kind="white_noise", num_classes=10, input_dim=32, n=2000),
+    k=2, u=10, steps=100, aggregator="gaf", tau=0.97, sampling="uniform", lr=0.08,
+    momentum=0.95, eval_every=100, val_fraction=0.75,
+)
+
+
+class TestGoldenDigests:
+    """sha256 of the records files plus the final parameters, recorded with
+    one gradient call per microbatch: any change to the numerics fails here."""
+
+    @pytest.mark.parametrize("cfg,digest", [
+        (replace(CLUSTER, aggregator="avg", tau=2.0),
+         "31b1f8505951b77057d893d0bba8976c51825c9002c674565db7be9e61dd6818"),
+        (replace(CLUSTER, aggregator="gaf", tau=0.97),
+         "3321921fbf12fd027a72b6af45fff5aa3589547e7ade724c1983f7e59e8eeb29"),
+        (NOISE_SWEEP_CELL,
+         "0a89b2e39f09c091d3f059775218b3ad9b9ab54432637d58af0fe2cb71cd053f"),
+    ], ids=["noisy-cluster-avg", "noisy-cluster-gaf", "noise-sweep-gaf-tau0.97"])
+    def test_run_digest_unchanged(self, cfg, digest):
+        assert run_digest(cfg) == digest
