@@ -11,13 +11,11 @@ from .aggregate import (
     GafConfig,
     average,
     gaf_aggregate,
-    gaf_aggregate_all_pivots,
     running_scan_distances,
 )
 from .data import (
     DataConfig,
     Dataset,
-    Microbatch,
     gen_gaussian_clusters,
     gen_white_noise,
     inject_symmetric_noise,
@@ -26,7 +24,7 @@ from .data import (
     sample_macrobatch,
     take,
 )
-from .gradvec import GradVec, as_gradvec, cosine_distance, dot, l2_norm
+from .gradvec import GradVec, cosine_distance, dot, l2_norm
 from .models import (
     ModelSpec,
     Params,
@@ -34,7 +32,6 @@ from .models import (
     init_params,
     loss_and_grad,
     predict,
-    unflatten,
 )
 from .optim import OptimState, SchedState, init_optim, plateau_update, sgd_step, skip_step
 from .sim import (
@@ -48,7 +45,6 @@ from .sim import (
 from .telemetry import (
     StepRecord,
     read_records,
-    rolling_mean,
     summarize,
     write_records,
 )
@@ -60,11 +56,9 @@ __all__ = [
     "GafConfig",
     "average",
     "gaf_aggregate",
-    "gaf_aggregate_all_pivots",
     "running_scan_distances",
     "DataConfig",
     "Dataset",
-    "Microbatch",
     "gen_gaussian_clusters",
     "gen_white_noise",
     "inject_symmetric_noise",
@@ -73,7 +67,6 @@ __all__ = [
     "sample_macrobatch",
     "take",
     "GradVec",
-    "as_gradvec",
     "cosine_distance",
     "dot",
     "l2_norm",
@@ -83,7 +76,6 @@ __all__ = [
     "init_params",
     "loss_and_grad",
     "predict",
-    "unflatten",
     "OptimState",
     "SchedState",
     "init_optim",
@@ -98,7 +90,6 @@ __all__ = [
     "run_detailed",
     "StepRecord",
     "read_records",
-    "rolling_mean",
     "summarize",
     "write_records",
 ]

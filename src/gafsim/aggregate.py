@@ -5,8 +5,7 @@ remaining candidates in ascending index order. Each candidate is compared
 against the *running sum* of everything accepted so far; it is admitted
 when its cosine distance to that sum is <= tau. If nothing beyond the
 pivot is admitted the whole macrobatch is skipped. The scan is therefore
-order dependent: `gaf_aggregate_all_pivots` exposes how much the outcome
-moves with the pivot choice.
+order dependent: the outcome can move with the pivot choice.
 
 With k >= 2 micro-gradients, a threshold of 2 admits every candidate,
 which makes filtering equivalent to plain averaging. A lone gradient
@@ -123,31 +122,16 @@ def gaf_aggregate(grads: list[GradVec] | np.ndarray, cfg: GafConfig) -> Aggregat
             count += 1
             mask[i] = True
 
-    if count > 1:
-        return AggregationOutcome(
-            gradient=running / count,
-            accepted_count=count,
-            accepted_mask=mask,
-            pairwise_distances=distances,
-            skipped=False,
-            pivot=pivot,
-        )
+    # nothing agreed with the pivot: skip the step
+    skipped = count == 1
     return AggregationOutcome(
-        gradient=None,
-        accepted_count=1,
+        gradient=None if skipped else running / count,
+        accepted_count=count,
         accepted_mask=mask,
         pairwise_distances=distances,
-        skipped=True,
+        skipped=skipped,
         pivot=pivot,
     )
-
-
-def gaf_aggregate_all_pivots(
-    grads: list[GradVec] | np.ndarray, tau: float
-) -> list[AggregationOutcome]:
-    """One aggregation per pivot choice, for probing order sensitivity."""
-    vecs = _validated(grads)
-    return [gaf_aggregate(vecs, GafConfig(tau=tau, pivot=s)) for s in range(len(vecs))]
 
 
 def running_scan_distances(grads: list[GradVec] | np.ndarray) -> list[float]:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .aggregate import GafConfig, gaf_aggregate
 from .data import CSV, DataConfig
-from .models import MLP1, SOFTMAX_LINEAR, ModelSpec, init_params, loss_and_grad, unflatten
+from .models import MLP1, SOFTMAX_LINEAR, ModelSpec, Params, init_params, loss_and_grad
 from .sim import AGG_AVERAGING, AGG_GAF, RunConfig, run
 from .telemetry import summarize, write_atomic, write_records
 
@@ -298,15 +298,15 @@ def cmd_check() -> int:
         x = rng.normal(size=(8, 6))
         y = rng.integers(0, 4, size=8)
         _, grad = loss_and_grad(params, x, y, spec, weight_decay=0.01)
-        flat = params.flatten()
+        flat = params.flat
         worst = 0.0
         h = 1e-5
         for idx in rng.choice(flat.size, size=25, replace=False):
             hi_flat, lo_flat = flat.copy(), flat.copy()
             hi_flat[idx] += h
             lo_flat[idx] -= h
-            hi, _ = loss_and_grad(unflatten(hi_flat, spec), x, y, spec, weight_decay=0.01)
-            lo, _ = loss_and_grad(unflatten(lo_flat, spec), x, y, spec, weight_decay=0.01)
+            hi, _ = loss_and_grad(Params(hi_flat, params.shapes), x, y, spec, weight_decay=0.01)
+            lo, _ = loss_and_grad(Params(lo_flat, params.shapes), x, y, spec, weight_decay=0.01)
             fd = (hi - lo) / (2 * h)
             denom = max(abs(fd), abs(grad[idx]), 1e-8)
             worst = max(worst, abs(fd - grad[idx]) / denom)

@@ -10,6 +10,7 @@ Sampling is pure given a step seed, so every draw is reproducible.
 from __future__ import annotations
 
 import csv
+import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -31,8 +32,6 @@ class Dataset:
     labels: np.ndarray  # (n,) int64, possibly noisy
     clean_labels: np.ndarray  # (n,) int64 ground truth
     num_classes: int
-    noise_rate: float
-    seed: int
 
     def __post_init__(self):
         n = self.features.shape[0]
@@ -51,19 +50,6 @@ class Dataset:
     def class_pools(self) -> list[np.ndarray]:
         """Row indices of each (possibly noisy) class, ascending; computed once."""
         return [np.flatnonzero(self.labels == c) for c in range(self.num_classes)]
-
-
-@dataclass
-class Microbatch:
-    """One worker's slice of a macrobatch: row indices plus their features and labels."""
-
-    indices: np.ndarray
-    features: np.ndarray
-    labels: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.indices.shape[0]
 
 
 @dataclass(frozen=True)
@@ -127,8 +113,6 @@ def gen_gaussian_clusters(
         labels=labels,
         clean_labels=labels.copy(),
         num_classes=num_classes,
-        noise_rate=0.0,
-        seed=seed,
     )
 
 
@@ -144,8 +128,6 @@ def gen_white_noise(num_classes: int, input_dim: int, n: int, seed: int) -> Data
         labels=labels,
         clean_labels=labels.copy(),
         num_classes=num_classes,
-        noise_rate=0.0,
-        seed=seed,
     )
 
 
@@ -172,37 +154,32 @@ def inject_symmetric_noise(ds: Dataset, rate: float, seed: int) -> Dataset:
         labels=labels,
         clean_labels=ds.clean_labels,
         num_classes=ds.num_classes,
-        noise_rate=rate,
-        seed=ds.seed,
     )
 
 
 def take(ds: Dataset, indices: np.ndarray) -> Dataset:
-    """Row subset as a new Dataset (noise_rate recomputed on the subset)."""
+    """Row subset as a new Dataset."""
     indices = np.asarray(indices)
-    labels = ds.labels[indices]
-    clean = ds.clean_labels[indices]
-    rate = float((labels != clean).mean()) if indices.size else 0.0
     return Dataset(
         features=ds.features[indices],
-        labels=labels,
-        clean_labels=clean,
+        labels=ds.labels[indices],
+        clean_labels=ds.clean_labels[indices],
         num_classes=ds.num_classes,
-        noise_rate=rate,
-        seed=ds.seed,
     )
 
 
 def sample_macrobatch(
     ds: Dataset, k: int, u: int, mode: str, step_seed: int
-) -> list[Microbatch]:
-    """Draw k pairwise-disjoint microbatches of size u.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw k pairwise-disjoint microbatches of size u as one macrobatch.
 
+    Returns (picks, features, labels): the (k, u) int64 row indices, their
+    (k, u, d) features and (k, u) labels; row i of each is microbatch i.
     Stratified mode draws u / num_classes samples per class per microbatch
     (u must divide evenly), so all k microbatches share one class histogram.
     Uniform mode draws k*u distinct rows and chunks them. Deterministic
-    given step_seed. Features and labels are gathered once for the whole
-    macrobatch; each microbatch holds row views of that gather.
+    given step_seed. Features and labels are gathered once, as contiguous
+    arrays.
     """
     if k < 1 or u < 1:
         raise ValueError("k and u must be positive")
@@ -231,16 +208,23 @@ def sample_macrobatch(
     else:
         raise ValueError(f"unknown sampling mode {mode!r}")
 
-    features = ds.features[picks]  # (k, u, d)
-    labels = ds.labels[picks]  # (k, u)
-    return [Microbatch(indices=picks[i], features=features[i], labels=labels[i]) for i in range(k)]
+    return picks, ds.features[picks], ds.labels[picks]
+
+
+def _feature(text: str) -> float:
+    """float(text), or NaN for text that is no number (rejected with NaN and inf)."""
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
 
 
 def load_csv(path) -> Dataset:
     """Read a dataset from CSV with header f0,...,f{d-1},label.
 
-    Features are 64-bit reals; labels are non-negative integers. Rows with
-    the wrong number of fields are rejected.
+    Features are finite 64-bit reals; labels are non-negative integers.
+    Rows with the wrong number of fields, a feature that is not a finite
+    number, or a bad label are rejected with the file and line.
     """
     path = Path(path)
     with path.open(newline="") as fh:
@@ -257,7 +241,11 @@ def load_csv(path) -> Dataset:
         for lineno, row in enumerate(reader, start=2):
             if len(row) != d + 1:
                 raise ValueError(f"{path}:{lineno}: expected {d + 1} fields, got {len(row)}")
-            feats.append([float(v) for v in row[:d]])
+            values = [_feature(v) for v in row[:d]]
+            for i, v in enumerate(values):
+                if not math.isfinite(v):
+                    raise ValueError(f"{path}:{lineno}: feature f{i} must be a finite number")
+            feats.append(values)
             if not re.fullmatch(r"\d+", row[d].strip()):
                 raise ValueError(f"{path}:{lineno}: label must be a non-negative integer")
             labels.append(int(row[d]))
@@ -270,6 +258,4 @@ def load_csv(path) -> Dataset:
         labels=label_arr,
         clean_labels=label_arr.copy(),
         num_classes=int(label_arr.max()) + 1,
-        noise_rate=0.0,
-        seed=0,
     )

@@ -18,19 +18,6 @@ ZERO_NORM_EPS = 1e-30
 GradVec = np.ndarray
 
 
-def as_gradvec(values) -> GradVec:
-    """Coerce ``values`` to a finite 1-D float64 array.
-
-    Raises ValueError if the input is not 1-D or contains NaN/Inf.
-    """
-    vec = np.asarray(values, dtype=np.float64)
-    if vec.ndim != 1:
-        raise ValueError(f"gradient vector must be 1-D, got shape {vec.shape}")
-    if not np.all(np.isfinite(vec)):
-        raise ValueError("gradient vector contains non-finite entries")
-    return vec
-
-
 def _check_dims(a: GradVec, b: GradVec) -> None:
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")

@@ -63,7 +63,7 @@ class ModelSpec:
 
 
 def _layer_views(flat: np.ndarray, shapes) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-layer (weight, bias) views into the last axis of `flat`, in flatten order.
+    """Per-layer (weight, bias) views into the last axis of `flat`, in parameter order.
 
     A leading axis (one row per worker) carries through to every view.
     """
@@ -84,7 +84,7 @@ def _layer_views(flat: np.ndarray, shapes) -> list[tuple[np.ndarray, np.ndarray]
 class Params:
     """All parameters as one flat float64 vector.
 
-    `layers` holds per-layer (weight, bias) views into `flat`, in flatten
+    `layers` holds per-layer (weight, bias) views into `flat`, in parameter
     order, so the model reads the vector in place and an optimizer step
     only ever builds a new vector.
     """
@@ -99,15 +99,6 @@ class Params:
     @property
     def total_dim(self) -> int:
         return self.flat.shape[0]
-
-    def flatten(self) -> GradVec:
-        """A copy of the flat parameter vector."""
-        return self.flat.copy()
-
-
-def unflatten(flat: GradVec, spec: ModelSpec) -> Params:
-    """Inverse of Params.flatten for the given architecture."""
-    return Params(np.array(flat, dtype=np.float64), spec.layer_shapes())
 
 
 def init_params(spec: ModelSpec) -> Params:
@@ -124,6 +115,22 @@ def init_params(spec: ModelSpec) -> Params:
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def _forward(params: Params, features: np.ndarray, spec: ModelSpec):
+    """The model's forward pass over any leading axes of `features`.
+
+    Returns (pre-activation, or None for softmax_linear; the last layer's
+    input; logits).
+    """
+    pre = None
+    last_in = features
+    if spec.kind == MLP1:
+        w1, b1 = params.layers[0]
+        pre = features @ w1.T + b1
+        last_in = np.tanh(pre) if spec.activation == "tanh" else np.maximum(pre, 0.0)
+    w, b = params.layers[-1]
+    return pre, last_in, last_in @ w.T + b
 
 
 def loss_and_grad(
@@ -164,14 +171,9 @@ def loss_and_grad(
 
     grad = np.empty((k, params.total_dim))
     views = _layer_views(grad, params.shapes)
-    if spec.kind == SOFTMAX_LINEAR:
-        ((w, b),) = params.layers
-        last_in = features
-    else:
-        (w1, b1), (w, b) = params.layers
-        pre = features @ w1.T + b1
-        last_in = np.tanh(pre) if spec.activation == "tanh" else np.maximum(pre, 0.0)
-    log_p = _log_softmax(last_in @ w.T + b)
+    pre, last_in, logits = _forward(params, features, spec)
+    w = params.layers[-1][0]
+    log_p = _log_softmax(logits)
     ce = -log_p.reshape(-1)[picks].reshape(k, n).mean(axis=-1)
     dlogits = np.exp(log_p)
     dlogits.reshape(-1)[picks] -= 1.0
@@ -188,6 +190,7 @@ def loss_and_grad(
         else:
             # relu subgradient at exactly 0 is taken as 0
             dpre = dhidden * (pre > 0.0)
+        w1 = params.layers[0][0]
         gw1, gb1 = views[0]
         np.matmul(dpre.transpose(0, 2, 1), features, out=gw1)
         gw1 += weight_decay * w1
@@ -199,18 +202,6 @@ def loss_and_grad(
     if not np.isfinite(losses).all() or not np.isfinite(grad).all():
         raise ValueError("non-finite loss or gradient")
     return (losses, grad) if stacked else (float(losses[0]), grad[0])
-
-
-def _predict_rows(params: Params, features: np.ndarray, spec: ModelSpec) -> np.ndarray:
-    if spec.kind == SOFTMAX_LINEAR:
-        (w, b) = params.layers[0]
-        logits = features @ w.T + b
-    else:
-        (w1, b1), (w2, b2) = params.layers
-        pre = features @ w1.T + b1
-        hidden = np.tanh(pre) if spec.activation == "tanh" else np.maximum(pre, 0.0)
-        logits = hidden @ w2.T + b2
-    return logits.argmax(axis=1)
 
 
 def _predict_chunk_rows(params: Params) -> int:
@@ -230,7 +221,7 @@ def predict(params: Params, features: np.ndarray, spec: ModelSpec) -> np.ndarray
     rows = _predict_chunk_rows(params)
     return np.concatenate(
         [
-            _predict_rows(params, features[i : i + rows], spec)
+            _forward(params, features[i : i + rows], spec)[2].argmax(axis=-1)
             for i in range(0, max(features.shape[0], 1), rows)
         ]
     )

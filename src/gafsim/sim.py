@@ -147,17 +147,11 @@ def run_detailed(cfg: RunConfig) -> RunResult:
     records: list[StepRecord] = []
     applied = 0
     for t in range(1, cfg.steps + 1):
-        batches = sample_macrobatch(
+        _, features, labels = sample_macrobatch(
             train, cfg.k, cfg.u, cfg.sampling, derive_seed(master, _TAG_STEP, t)
         )
         try:
-            losses, grads = loss_and_grad(
-                params,
-                np.stack([mb.features for mb in batches]),
-                np.stack([mb.labels for mb in batches]),
-                spec,
-                cfg.weight_decay,
-            )
+            losses, grads = loss_and_grad(params, features, labels, spec, cfg.weight_decay)
             losses = losses.tolist()
             train_loss = losses[0]
             for v in losses[1:]:

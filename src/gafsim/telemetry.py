@@ -1,4 +1,4 @@
-"""Rolling averages, step-record serialization, and run summaries.
+"""Step-record serialization and run summaries.
 
 The canonical on-disk format is JSONL, one object per training step, with
 a companion CSV holding the scalar columns (cosine distances reduced to
@@ -15,8 +15,6 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import numpy as np
 
 
 def _is_int(v) -> bool:
@@ -61,42 +59,6 @@ class StepRecord:
     val_acc: float | None = None
 
 
-def rolling_mean(values, window: int) -> list[float]:
-    """Trailing-window mean with truncated warm-up.
-
-    Element i is the mean of the last `window` values ending at i; during
-    warm-up it is the mean of everything seen so far, so the first output
-    equals the first input.
-    """
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    values = np.asarray(values, dtype=np.float64)
-    n = values.shape[0]
-    if n == 0:
-        return []
-    # each window is summed independently (no running-difference drift)
-    warm = min(window, n)
-    head = [float(values[: i + 1].sum() / (i + 1)) for i in range(warm)]
-    if n <= window:
-        return head
-    windows = np.lib.stride_tricks.sliding_window_view(values, window)
-    body = windows[1:].sum(axis=1) / window
-    return head + [float(v) for v in body]
-
-
-def _record_to_obj(r: StepRecord) -> dict:
-    return {
-        "step": r.step,
-        "train_loss": r.train_loss,
-        "cos_distances": list(r.cos_distances),
-        "accepted_count": r.accepted_count,
-        "skipped": r.skipped,
-        "lr": r.lr,
-        "train_acc": r.train_acc,
-        "val_acc": r.val_acc,
-    }
-
-
 def write_atomic(path, text: str) -> None:
     """Replace `path` with `text` through a temp file in the same directory.
 
@@ -118,7 +80,9 @@ def write_atomic(path, text: str) -> None:
 def write_records(records: list[StepRecord], path) -> None:
     """Write JSONL to `path` and the scalar CSV next to it (.csv suffix)."""
     path = Path(path)
-    lines = [json.dumps(_record_to_obj(r), separators=(",", ":")) for r in records]
+    # vars() holds the fields in declaration (schema) order; asdict would
+    # deep-copy every value first and double the cost of a write
+    lines = [json.dumps(vars(r), separators=(",", ":")) for r in records]
     csv_buf = io.StringIO()
     writer = csv.writer(csv_buf, lineterminator="\n")
     writer.writerow(

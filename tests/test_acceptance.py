@@ -21,6 +21,7 @@ from gafsim import (
     DataConfig,
     GafConfig,
     ModelSpec,
+    Params,
     RunConfig,
     average,
     gaf_aggregate,
@@ -29,7 +30,6 @@ from gafsim import (
     measure_pairwise_distance_trend,
     run,
     run_detailed,
-    unflatten,
     write_records,
 )
 from gafsim.sim import _TAG_INIT, derive_seed
@@ -146,10 +146,10 @@ class TestCriterion2GradientCorrectness:
             y = rng.integers(0, spec.num_classes, size=n)
             wd = float(rng.choice([0.0, 0.01]))
             _, grad = loss_and_grad(params, x, y, spec, weight_decay=wd)
-            flat = params.flatten()
+            flat = params.flat
 
             def loss_of(vec, spec=spec, x=x, y=y, wd=wd):
-                return loss_and_grad(unflatten(vec, spec), x, y, spec, weight_decay=wd)[0]
+                return loss_and_grad(Params(vec, spec.layer_shapes()), x, y, spec, weight_decay=wd)[0]
 
             idx = rng.choice(flat.size, size=min(50, flat.size), replace=False)
             for i, fd in finite_difference_grad(loss_of, flat, idx, h=1e-5).items():
@@ -196,7 +196,7 @@ class TestCriterion3DeterminismAndSkips:
                                               skip_cfg.model.init_seed))
         untouched = (
             all(r.skipped for r in result.records)
-            and np.array_equal(result.params.flatten(), init_params(spec0).flatten())
+            and np.array_equal(result.params.flat, init_params(spec0).flat)
             and np.array_equal(result.opt.velocity, np.zeros(result.params.total_dim))
             and result.opt.lr == skip_cfg.lr
             and result.opt.step_count == 0

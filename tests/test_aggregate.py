@@ -5,7 +5,6 @@ from gafsim.aggregate import (
     GafConfig,
     average,
     gaf_aggregate,
-    gaf_aggregate_all_pivots,
     running_scan_distances,
 )
 
@@ -105,21 +104,26 @@ class TestGafAggregate:
             gaf_aggregate([], GafConfig(tau=1.0, pivot=0))
 
 
+def all_pivots(grads, tau):
+    """One aggregation per pivot choice, to probe the scan's order sensitivity."""
+    return [gaf_aggregate(grads, GafConfig(tau=tau, pivot=s)) for s in range(len(grads))]
+
+
 class TestAllPivots:
     def test_symmetric_pair(self):
-        outs = gaf_aggregate_all_pivots([v(1, 0), v(1, 0)], 0.97)
+        outs = all_pivots([v(1, 0), v(1, 0)], 0.97)
         assert len(outs) == 2
         for out in outs:
             assert out.accepted_count == 2
             assert np.array_equal(out.gradient, v(1, 0))
 
     def test_orthogonal_pair_all_skip(self):
-        outs = gaf_aggregate_all_pivots([v(1, 0), v(0, 1)], 0.97)
+        outs = all_pivots([v(1, 0), v(0, 1)], 0.97)
         assert all(out.skipped for out in outs)
 
     def test_pivot_changes_accepted_set(self):
         grads = [v(1, 0), v(1, 0.1), v(-1, 0)]
-        outs = gaf_aggregate_all_pivots(grads, 0.97)
+        outs = all_pivots(grads, 0.97)
         for s, out in enumerate(outs):
             ref_grad, ref_c, ref_mask, _, ref_skip = naive_filtered_aggregate(grads, 0.97, s)
             assert out.accepted_count == ref_c

@@ -95,6 +95,18 @@ class TestRunCommand:
         assert main(["run", "--config", str(dumped)]) == 0
         assert (rundir / "records.jsonl").read_bytes() == first
 
+    @pytest.mark.parametrize("value", ["abc", "nan"])
+    def test_bad_csv_feature_names_file_and_line(self, tmp_path, capsys, value):
+        data = tmp_path / "data.csv"
+        rows = [f"{i % 3}.5,{i % 3}" for i in range(30)]
+        rows[6] = f"{value},0"
+        data.write_text("f0,label\n" + "\n".join(rows) + "\n")
+        cfg = minimal_config(tmp_path, model={"kind": "softmax_linear", "input_dim": 1,
+                                              "num_classes": 3},
+                             data={"kind": "csv", "path": str(data)})
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert f"{data}:8: feature f0 must be a finite number" in capsys.readouterr().err
+
     @pytest.mark.parametrize("pivot", ["5", "-1"])
     def test_pivot_out_of_range_is_config_error(self, tmp_path, capsys, pivot):
         cfg = minimal_config(tmp_path)

@@ -116,22 +116,32 @@ class TestNoiseInjection:
 class TestMacrobatchSampling:
     def test_stratified_one_per_class(self):
         ds = gen_gaussian_clusters(6, 4, 30, sigma=0.5, seed=3)
-        batches = sample_macrobatch(ds, k=2, u=6, mode=STRATIFIED, step_seed=11)
-        for mb in batches:
-            assert sorted(mb.labels.tolist()) == list(range(6))
+        _, _, labels = sample_macrobatch(ds, k=2, u=6, mode=STRATIFIED, step_seed=11)
+        for row in labels:
+            assert sorted(row.tolist()) == list(range(6))
 
     def test_disjoint_microbatches(self):
         ds = gen_gaussian_clusters(5, 4, 40, sigma=0.5, seed=3)
-        batches = sample_macrobatch(ds, k=4, u=10, mode=STRATIFIED, step_seed=11)
-        seen = np.concatenate([mb.indices for mb in batches])
+        picks, _, _ = sample_macrobatch(ds, k=4, u=10, mode=STRATIFIED, step_seed=11)
+        seen = picks.ravel()
         assert len(set(seen.tolist())) == len(seen) == 40
 
     def test_same_step_seed_identical(self):
         ds = gen_white_noise(5, 4, 200, seed=3)
         a = sample_macrobatch(ds, 3, 5, UNIFORM, step_seed=77)
         b = sample_macrobatch(ds, 3, 5, UNIFORM, step_seed=77)
-        for mb1, mb2 in zip(a, b):
-            assert np.array_equal(mb1.indices, mb2.indices)
+        assert np.array_equal(a[0], b[0])
+
+    @pytest.mark.parametrize("mode, u", [(STRATIFIED, 6), (UNIFORM, 4)])
+    def test_returns_one_macrobatch_array_each(self, mode, u):
+        ds = inject_symmetric_noise(gen_gaussian_clusters(3, 5, 40, 0.5, seed=2), 0.3, seed=4)
+        picks, features, labels = sample_macrobatch(ds, 3, u, mode, step_seed=5)
+        assert picks.shape == (3, u) and picks.dtype == np.int64
+        assert features.shape == (3, u, 5) and features.dtype == np.float64
+        assert labels.shape == (3, u) and labels.dtype == np.int64
+        assert features.flags.c_contiguous
+        assert np.array_equal(features, ds.features[picks])
+        assert np.array_equal(labels, ds.labels[picks])
 
     def test_stratified_needs_divisible_u(self):
         ds = gen_gaussian_clusters(4, 3, 25, sigma=0.5, seed=1)
@@ -186,12 +196,13 @@ class TestClassPools:
             ds.labels = np.zeros(40, dtype=np.int64)
 
 
-def _batches_digest(batches):
+def _batches_digest(macrobatch):
+    # per microbatch, in worker order: its indices, features, labels
     h = hashlib.sha256()
-    for mb in batches:
-        h.update(np.ascontiguousarray(mb.indices, dtype=np.int64).tobytes())
-        h.update(np.ascontiguousarray(mb.features, dtype=np.float64).tobytes())
-        h.update(np.ascontiguousarray(mb.labels, dtype=np.int64).tobytes())
+    for indices, features, labels in zip(*macrobatch):
+        h.update(np.ascontiguousarray(indices, dtype=np.int64).tobytes())
+        h.update(np.ascontiguousarray(features, dtype=np.float64).tobytes())
+        h.update(np.ascontiguousarray(labels, dtype=np.int64).tobytes())
     return h.hexdigest()[:16]
 
 
@@ -243,6 +254,14 @@ class TestCsv:
         with pytest.raises(ValueError, match="label"):
             load_csv(path)
 
+    @pytest.mark.parametrize("value", ["abc", "", "nan", "inf", "-Infinity"])
+    def test_rejects_non_finite_feature_with_line(self, tmp_path, value):
+        path = tmp_path / "data.csv"
+        path.write_text(f"f0,f1,label\n0.5,-1.25,0\n3.0,{value},1\n")
+        with pytest.raises(ValueError) as exc:
+            load_csv(path)
+        assert str(exc.value) == f"{path}:3: feature f1 must be a finite number"
+
     def test_make_dataset_dispatch(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("f0,label\n1.0,0\n2.0,1\n")
@@ -276,9 +295,9 @@ class TestProperties:
                                        seed=int(rng.integers(1 << 31)))
             ds = inject_symmetric_noise(ds, float(rng.uniform(0, 0.5)),
                                         seed=int(rng.integers(1 << 31)))
-            batches = sample_macrobatch(ds, k, per * c, STRATIFIED,
-                                        step_seed=int(rng.integers(1 << 31)))
-            hists = [np.bincount(mb.labels, minlength=c) for mb in batches]
+            _, _, labels = sample_macrobatch(ds, k, per * c, STRATIFIED,
+                                             step_seed=int(rng.integers(1 << 31)))
+            hists = [np.bincount(row, minlength=c) for row in labels]
             for h in hists[1:]:
                 assert np.array_equal(h, hists[0])
 
@@ -292,6 +311,5 @@ class TestProperties:
             ds2 = gen_white_noise(3, 4, 120, seed=ds_seed)
             a = sample_macrobatch(ds1, 2, u, mode, step_seed)
             b = sample_macrobatch(ds2, 2, u, mode, step_seed)
-            for mb1, mb2 in zip(a, b):
-                assert np.array_equal(mb1.indices, mb2.indices)
-                assert np.array_equal(mb1.features, mb2.features)
+            assert np.array_equal(a[0], b[0])
+            assert np.array_equal(a[1], b[1])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gafsim.gradvec import as_gradvec, cosine_distance, dot, l2_norm
+from gafsim.gradvec import cosine_distance, dot, l2_norm
 
 from conftest import N_PROPERTY_CASES, random_vec
 
@@ -63,16 +63,6 @@ class TestCosineDistance:
     def test_dim_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             cosine_distance(v(1, 0), v(1, 0, 0))
-
-
-class TestValidation:
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            as_gradvec([1.0, float("nan")])
-
-    def test_rejects_2d(self):
-        with pytest.raises(ValueError, match="1-D"):
-            as_gradvec(np.zeros((2, 2)))
 
 
 @pytest.mark.properties

@@ -8,11 +8,11 @@ from gafsim.models import (
     MLP1,
     SOFTMAX_LINEAR,
     ModelSpec,
+    Params,
     accuracy,
     init_params,
     loss_and_grad,
     predict,
-    unflatten,
 )
 
 from conftest import N_PROPERTY_CASES
@@ -58,12 +58,12 @@ class TestInit:
     def test_zero_init(self):
         spec = ModelSpec(kind=SOFTMAX_LINEAR, input_dim=4, num_classes=3, init_sigma=0.0)
         params = init_params(spec)
-        assert np.array_equal(params.flatten(), np.zeros(params.total_dim))
+        assert np.array_equal(params.flat, np.zeros(params.total_dim))
 
     def test_same_seed_same_params(self):
         a = init_params(MLP_TANH)
         b = init_params(MLP_TANH)
-        assert np.array_equal(a.flatten(), b.flatten())
+        assert np.array_equal(a.flat, b.flat)
 
     def test_gaussian_moments(self):
         spec = ModelSpec(kind=SOFTMAX_LINEAR, input_dim=1000, num_classes=10,
@@ -97,10 +97,10 @@ class TestLossAndGrad:
         x, y = random_batch(rng, spec)
         wd = 0.01
         _, grad = loss_and_grad(params, x, y, spec, weight_decay=wd)
-        flat = params.flatten()
+        flat = params.flat
 
         def loss_of(vec):
-            return loss_and_grad(unflatten(vec, spec), x, y, spec, weight_decay=wd)[0]
+            return loss_and_grad(Params(vec, spec.layer_shapes()), x, y, spec, weight_decay=wd)[0]
 
         idx = rng.choice(flat.size, size=min(30, flat.size), replace=False)
         fd = finite_difference_grad(loss_of, flat, idx)
@@ -164,7 +164,7 @@ class TestPredict:
         params = init_params(spec)
         n = chunks * models._predict_chunk_rows(params) + extra
         x = rng.normal(size=(n, spec.input_dim))
-        single = models._predict_rows(params, x, spec)
+        single = models._forward(params, x, spec)[2].argmax(axis=-1)
         assert single.shape == (n,)
         assert np.array_equal(predict(params, x, spec), single)
 
@@ -176,13 +176,13 @@ class TestPredict:
     def test_every_chunk_stays_under_blas_serial_cutoff(self, spec, monkeypatch):
         # m*n*k <= 2^18 keeps each OpenBLAS product on one thread
         chunks = []
-        real = models._predict_rows
+        real = models._forward
 
         def recording(params, features, spec):
             chunks.append(features.shape[0])
             return real(params, features, spec)
 
-        monkeypatch.setattr(models, "_predict_rows", recording)
+        monkeypatch.setattr(models, "_forward", recording)
         params = init_params(spec)
         x = np.random.default_rng(0).normal(size=(1000, spec.input_dim))
         predict(params, x, spec)
@@ -246,10 +246,10 @@ class TestProperties:
                 x, y = random_batch(rng, spec, n=int(rng.integers(1, 10)))
                 wd = float(rng.choice([0.0, 0.01, 0.1]))
                 _, grad = loss_and_grad(params, x, y, spec, weight_decay=wd)
-                flat = params.flatten()
+                flat = params.flat
 
                 def loss_of(vec, spec=spec, x=x, y=y, wd=wd):
-                    return loss_and_grad(unflatten(vec, spec), x, y, spec, weight_decay=wd)[0]
+                    return loss_and_grad(Params(vec, spec.layer_shapes()), x, y, spec, weight_decay=wd)[0]
 
                 idx = rng.choice(flat.size, size=min(5, flat.size), replace=False)
                 for i, val in finite_difference_grad(loss_of, flat, idx).items():
@@ -324,7 +324,7 @@ class TestProperties:
                 assert losses[i] == loss == ref_loss
                 assert grads[i].tobytes() == grad.tobytes() == ref_grad.tobytes()
 
-    def test_flatten_unflatten_roundtrip(self, rng):
+    def test_params_rebuilt_from_flat_roundtrip(self, rng):
         for _ in range(N_PROPERTY_CASES):
             spec = ModelSpec(
                 kind=str(rng.choice([SOFTMAX_LINEAR, MLP1])),
@@ -335,7 +335,7 @@ class TestProperties:
                 init_seed=int(rng.integers(1 << 31)),
             )
             params = init_params(spec)
-            rebuilt = unflatten(params.flatten(), spec)
+            rebuilt = Params(params.flat.copy(), spec.layer_shapes())
             assert len(rebuilt.layers) == len(params.layers)
             for (w1, b1), (w2, b2) in zip(params.layers, rebuilt.layers):
                 assert np.array_equal(w1, w2) and np.array_equal(b1, b2)

@@ -19,13 +19,13 @@ class TestSgdStep:
         params, opt = fresh()
         grad = rng.normal(size=params.total_dim)
         new_params, new_opt = sgd_step(params, grad, opt)
-        assert np.array_equal(new_params.flatten(), params.flatten() - grad)
+        assert np.array_equal(new_params.flat, params.flat - grad)
         assert new_opt.step_count == 1
 
     def test_zero_gradient_no_move(self):
         params, opt = fresh()
         new_params, _ = sgd_step(params, np.zeros(params.total_dim), opt)
-        assert np.array_equal(new_params.flatten(), params.flatten())
+        assert np.array_equal(new_params.flat, params.flat)
 
     def test_momentum_unrolled_two_steps(self, rng):
         # velocity: g then 1.9g; displacement g + 1.9g = 2.9g
@@ -34,7 +34,7 @@ class TestSgdStep:
         g = rng.normal(size=params.total_dim)
         p1, opt = sgd_step(params, g, opt)
         p2, opt = sgd_step(p1, g, opt)
-        assert np.allclose(params.flatten() - p2.flatten(), 2.9 * g, atol=1e-12)
+        assert np.allclose(params.flat - p2.flat, 2.9 * g, atol=1e-12)
 
     def test_dim_mismatch(self):
         params, opt = fresh()
@@ -57,10 +57,10 @@ class TestSkipStep:
 
     def test_hundred_skips_leave_params_alone(self):
         params, opt = fresh()
-        before = params.flatten().copy()
+        before = params.flat.copy()
         for _ in range(100):
             opt = skip_step(opt)
-        assert np.array_equal(params.flatten(), before)
+        assert np.array_equal(params.flat, before)
         assert opt.skip_count == 100
 
     def test_skip_then_step_equals_step(self, rng):
@@ -69,7 +69,7 @@ class TestSkipStep:
         g = rng.normal(size=params.total_dim)
         direct, _ = sgd_step(params, g, opt)
         via_skip, _ = sgd_step(params, g, skip_step(opt))
-        assert np.array_equal(direct.flatten(), via_skip.flatten())
+        assert np.array_equal(direct.flat, via_skip.flat)
 
 
 class TestPlateau:

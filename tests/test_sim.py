@@ -124,7 +124,7 @@ class TestSkipSemantics:
         assert all(r.skipped for r in result.records)
         spec = replace(cfg.model,
                        init_seed=derive_seed(cfg.master_seed, _TAG_INIT, cfg.model.init_seed))
-        assert np.array_equal(result.params.flatten(), init_params(spec).flatten())
+        assert np.array_equal(result.params.flat, init_params(spec).flat)
         assert np.array_equal(result.opt.velocity, np.zeros(result.params.total_dim))
         assert result.opt.lr == cfg.lr
         assert result.opt.step_count == 0
@@ -151,7 +151,7 @@ class TestSingleWorker:
         assert result.opt.step_count == 20
         spec = replace(cfg.model,
                        init_seed=derive_seed(cfg.master_seed, _TAG_INIT, cfg.model.init_seed))
-        assert not np.array_equal(result.params.flatten(), init_params(spec).flatten())
+        assert not np.array_equal(result.params.flat, init_params(spec).flat)
 
     @pytest.mark.parametrize("tau", [0.0, 2.0])
     def test_filter_skips_every_time(self, tau):
@@ -168,11 +168,11 @@ class TestSnapshotConsistency:
         spec = replace(cfg.model,
                        init_seed=derive_seed(cfg.master_seed, _TAG_INIT, cfg.model.init_seed))
         params = init_params(spec)
-        batches = sample_macrobatch(result.train, cfg.k, cfg.u, cfg.sampling,
-                                    derive_seed(cfg.master_seed, _TAG_STEP, 1))
+        _, features, labels = sample_macrobatch(result.train, cfg.k, cfg.u, cfg.sampling,
+                                                derive_seed(cfg.master_seed, _TAG_STEP, 1))
         losses = []
-        for mb in batches:
-            loss, _ = loss_and_grad(params, mb.features, mb.labels, spec, cfg.weight_decay)
+        for x, y in zip(features, labels):
+            loss, _ = loss_and_grad(params, x, y, spec, cfg.weight_decay)
             losses.append(loss)
         expected = losses[0]
         for v in losses[1:]:
@@ -186,11 +186,11 @@ class TestSnapshotConsistency:
         spec = replace(cfg.model,
                        init_seed=derive_seed(cfg.master_seed, _TAG_INIT, cfg.model.init_seed))
         params = init_params(spec)
-        applied = (params.flatten() - result.params.flatten()) / cfg.lr
-        batches = sample_macrobatch(result.train, cfg.k, cfg.u, cfg.sampling,
-                                    derive_seed(cfg.master_seed, _TAG_STEP, 1))
-        union_x = np.vstack([mb.features for mb in batches])
-        union_y = np.concatenate([mb.labels for mb in batches])
+        applied = (params.flat - result.params.flat) / cfg.lr
+        _, features, labels = sample_macrobatch(result.train, cfg.k, cfg.u, cfg.sampling,
+                                                derive_seed(cfg.master_seed, _TAG_STEP, 1))
+        union_x = features.reshape(-1, features.shape[-1])
+        union_y = labels.reshape(-1)
         _, union_grad = loss_and_grad(params, union_x, union_y, spec, cfg.weight_decay)
         assert np.allclose(applied, union_grad, atol=1e-10)
 

@@ -8,7 +8,6 @@ from gafsim import telemetry
 from gafsim.telemetry import (
     StepRecord,
     read_records,
-    rolling_mean,
     summarize,
     write_atomic,
     write_records,
@@ -35,29 +34,6 @@ def make_records(n, rng=None, k=2):
             )
         )
     return records
-
-
-class TestRollingMean:
-    def test_window_one_identity(self):
-        vals = [3.0, 1.0, 4.0, 1.5]
-        assert rolling_mean(vals, 1) == vals
-
-    def test_constant_series(self):
-        assert rolling_mean([2.0] * 10, 4) == [2.0] * 10
-
-    def test_hand_example(self):
-        assert rolling_mean([0, 1, 0, 1], 2) == [0.0, 0.5, 0.5, 0.5]
-
-    def test_warmup_starts_at_first_value(self):
-        out = rolling_mean([10.0, 0.0, 0.0], 3)
-        assert out[0] == 10.0
-
-    def test_rejects_bad_window(self):
-        with pytest.raises(ValueError, match="window"):
-            rolling_mean([1.0], 0)
-
-    def test_empty(self):
-        assert rolling_mean([], 5) == []
 
 
 class TestSerialization:
@@ -198,29 +174,6 @@ class TestSummarize:
 
 @pytest.mark.properties
 class TestProperties:
-    def test_rolling_matches_naive_window_mean(self, rng):
-        for _ in range(N_PROPERTY_CASES):
-            n = int(rng.integers(1, 120))
-            window = int(rng.integers(1, 20))
-            vals = rng.normal(size=n)
-            out = rolling_mean(vals, window)
-            for i in range(n):
-                lo = max(0, i - window + 1)
-                assert out[i] == pytest.approx(float(np.mean(vals[lo : i + 1])), abs=1e-12)
-
-    def test_rolling_shift_equivariance(self, rng):
-        # prepending w copies of the first value leaves every fully-warmed
-        # output unchanged (shifted by w)
-        for _ in range(N_PROPERTY_CASES):
-            n = int(rng.integers(2, 80))
-            window = int(rng.integers(1, 12))
-            vals = list(rng.normal(size=n))
-            padded = [vals[0]] * window + vals
-            base = rolling_mean(vals, window)
-            shifted = rolling_mean(padded, window)
-            for i in range(window - 1, n):
-                assert shifted[window + i] == pytest.approx(base[i], abs=1e-12)
-
     def test_round_trip_lossless_for_hostile_floats(self, rng, tmp_path):
         # denormals, huge magnitudes, and full-precision mantissas all
         # round-trip bit for bit through the JSONL path
