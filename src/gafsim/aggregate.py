@@ -137,13 +137,8 @@ def gaf_aggregate(grads: list[GradVec] | np.ndarray, cfg: GafConfig) -> Aggregat
 def running_scan_distances(grads: list[GradVec] | np.ndarray) -> list[float]:
     """Cosine distances of each gradient against the index-order running sum.
 
-    Mirrors the agreement scan with pivot 0 and an all-admitting threshold.
-    Used to log pairwise disagreement for plain-averaging runs.
+    The agreement scan with pivot 0 and the all-admitting threshold 2 (every
+    distance lies in [0, 2]). Used to log pairwise disagreement for
+    plain-averaging runs.
     """
-    vecs = _validated(grads)
-    running = vecs[0].copy()
-    distances = []
-    for v in vecs[1:]:
-        distances.append(cosine_distance(v, running))
-        running += v
-    return distances
+    return gaf_aggregate(grads, GafConfig(tau=2.0, pivot=0)).pairwise_distances

@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import json
 import sys
 import typing
@@ -31,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .aggregate import GafConfig, gaf_aggregate
-from .data import CSV, DataConfig
+from .data import DataConfig
 from .models import MLP1, SOFTMAX_LINEAR, ModelSpec, Params, init_params, loss_and_grad
 from .sim import AGG_AVERAGING, AGG_GAF, RunConfig, run
 from .telemetry import summarize, write_atomic, write_records
@@ -145,10 +144,6 @@ def load_experiment(obj, overrides: dict | None = None) -> dict:
                             over.get("run.data")), "run.data")
     for key in _FOLLOW_MODEL:
         data.setdefault(key, model[key])
-    if data["num_classes"] != model["num_classes"]:
-        raise ConfigError("run.data.num_classes conflicts with run.model.num_classes")
-    if data["kind"] != CSV and data["input_dim"] != model["input_dim"]:
-        raise ConfigError("run.data.input_dim conflicts with run.model.input_dim")
     template = _build(RunConfig, "run", model=_build(ModelSpec, "run.model", **model),
                       data=_build(DataConfig, "run.data", **data), **_kwargs(run_sec, "run"))
 
@@ -231,7 +226,8 @@ def cmd_sweep(exp: dict) -> int:
     axis, cells = _sweep_cells(exp)
     out_root = Path(exp["output_dir"])
     out_root.mkdir(parents=True, exist_ok=True)
-    rows = []
+    table = out_root / "sweep_summary.csv"
+    mode = "w"
     baseline_cache: dict[RunConfig, dict] = {}
     for value, cell in cells:
         for seed in exp["seeds"]:
@@ -246,23 +242,16 @@ def cmd_sweep(exp: dict) -> int:
             improvement = None
             if gaf_summary["final_val_acc"] is not None and base_summary["final_val_acc"] is not None:
                 improvement = gaf_summary["final_val_acc"] - base_summary["final_val_acc"]
-            rows.append((value, seed, AGG_AVERAGING, base_summary, None))
-            rows.append((value, seed, AGG_GAF, gaf_summary, improvement))
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["param", "value", "seed", "aggregator", "final_val_acc", "best_val_acc",
-         "skip_fraction", "mean_cos_distance_last_quartile", "improvement"]
-    )
-    for value, seed, agg, summary, improvement in rows:
-        writer.writerow(
-            [axis, value, seed, agg, summary["final_val_acc"], summary["best_val_acc"],
-             summary["skip_fraction"], summary["mean_cos_distance_last_quartile"],
-             "" if improvement is None else improvement]
-        )
-    table = out_root / "sweep_summary.csv"
-    write_atomic(table, buf.getvalue())
+            # append each finished (cell, seed) so a crash keeps its rows (cheaper
+            # than a rename per cell); csv writes None as an empty cell
+            with table.open(mode, encoding="utf-8", newline="") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                if mode == "w":
+                    writer.writerow(["param", "value", "seed", "aggregator", *gaf_summary,
+                                     "improvement"])
+                writer.writerow([axis, value, seed, AGG_AVERAGING, *base_summary.values(), None])
+                writer.writerow([axis, value, seed, AGG_GAF, *gaf_summary.values(), improvement])
+            mode = "a"
     print(f"sweep table written to {table}")
     return 0
 

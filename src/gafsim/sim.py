@@ -23,7 +23,7 @@ from .aggregate import GafConfig, average, gaf_aggregate, running_scan_distances
 from .data import Dataset, DataConfig, make_dataset, sample_macrobatch, take
 from .models import ModelSpec, Params, accuracy, init_params, loss_and_grad
 from .optim import OptimState, SchedState, init_optim, plateau_update, sgd_step, skip_step
-from .telemetry import StepRecord
+from .telemetry import StepRecord, summarize
 
 AGG_AVERAGING = "avg"
 AGG_GAF = "gaf"
@@ -87,14 +87,19 @@ class RunConfig:
             raise ValueError(f"unknown aggregator {self.aggregator!r}")
         if self.sampling not in (data_mod.STRATIFIED, data_mod.UNIFORM):
             raise ValueError(f"unknown sampling {self.sampling!r}")
-        # a CSV file's class count is known only once it is read: sampling checks it at step 1
+        if self.data.num_classes != self.model.num_classes:
+            raise ValueError(f"data.num_classes {self.data.num_classes} conflicts with "
+                             f"model.num_classes {self.model.num_classes}")
+        # a CSV file's dims are known only once it is read: run_detailed checks
+        # them before step 1, and sampling checks u against its class count
         classes = self.data.num_classes
-        if self.sampling == data_mod.STRATIFIED and self.data.kind != data_mod.CSV:
-            if self.u % classes != 0:
-                raise ValueError(
-                    f"stratified sampling needs u divisible by num_classes "
-                    f"({self.u} % {classes} != 0)"
-                )
+        if self.data.kind != data_mod.CSV:
+            if self.data.input_dim != self.model.input_dim:
+                raise ValueError(f"data.input_dim {self.data.input_dim} conflicts with "
+                                 f"model.input_dim {self.model.input_dim}")
+            if self.sampling == data_mod.STRATIFIED and self.u % classes != 0:
+                raise ValueError(f"stratified sampling needs u divisible by num_classes "
+                                 f"({self.u} % {classes} != 0)")
         if not 0.0 <= self.tau <= 2.0:
             raise ValueError("tau must be in [0, 2]")
         if not 0.0 < self.val_fraction < 1.0:
@@ -104,10 +109,6 @@ class RunConfig:
         if self.pivot is not None and not 0 <= self.pivot < self.k:
             raise ValueError(f"pivot {self.pivot} out of range [0, {self.k}) for k={self.k}")
 
-    @property
-    def macrobatch_size(self) -> int:
-        return self.k * self.u
-
 
 @dataclass
 class RunResult:
@@ -116,8 +117,6 @@ class RunResult:
     opt: OptimState
     sched: SchedState
     train: Dataset
-    val_features: np.ndarray
-    val_labels: np.ndarray  # clean labels
 
 
 def _split(ds: Dataset, val_fraction: float, seed: int):
@@ -136,6 +135,12 @@ def run_detailed(cfg: RunConfig) -> RunResult:
     if cfg.data.noise_rate > 0:
         ds = data_mod.inject_symmetric_noise(ds, cfg.data.noise_rate, derive_seed(master, _TAG_NOISE))
     train, val_x, val_y = _split(ds, cfg.val_fraction, derive_seed(master, _TAG_SPLIT))
+    # RunConfig matched generated data to the model; a CSV file's dims are known only now
+    if train.dim != cfg.model.input_dim or train.num_classes > cfg.model.num_classes:
+        raise ValueError(
+            f"{cfg.data.path}: {train.dim} features and {train.num_classes} classes, run.model "
+            f"has input_dim {cfg.model.input_dim} and num_classes {cfg.model.num_classes}"
+        )
 
     spec = replace(cfg.model, init_seed=derive_seed(master, _TAG_INIT, cfg.model.init_seed))
     params = init_params(spec)
@@ -152,43 +157,37 @@ def run_detailed(cfg: RunConfig) -> RunResult:
         )
         try:
             losses, grads = loss_and_grad(params, features, labels, spec, cfg.weight_decay)
-            losses = losses.tolist()
-            train_loss = losses[0]
-            for v in losses[1:]:
-                train_loss += v
-            train_loss /= cfg.k
+            # exact: sum starts at 0, and 0 + x == x as a loss is never -0.0
+            train_loss = sum(losses.tolist()) / cfg.k
 
             if cfg.aggregator == AGG_GAF:
                 gcfg = GafConfig(
                     tau=cfg.tau, pivot=cfg.pivot, rng_seed=derive_seed(master, _TAG_PIVOT, t)
                 )
                 outcome = gaf_aggregate(grads, gcfg)
-                distances = outcome.pairwise_distances
-                accepted = outcome.accepted_count
-                skipped = outcome.skipped
-                if skipped:
-                    opt = skip_step(opt)
-                else:
-                    params, opt = sgd_step(params, outcome.gradient, opt)
+                distances, accepted, gradient = (
+                    outcome.pairwise_distances, outcome.accepted_count, outcome.gradient
+                )
             else:
-                distances = running_scan_distances(grads)
-                accepted = cfg.k
-                skipped = False
-                params, opt = sgd_step(params, average(grads), opt)
+                distances, accepted, gradient = running_scan_distances(grads), cfg.k, average(grads)
+            skipped = gradient is None
+            if skipped:
+                opt = skip_step(opt)
+            else:
+                params, opt = sgd_step(params, gradient, opt)
         except ValueError as exc:
             raise RuntimeError(f"training diverged at step {t}: {exc}") from exc
 
+        applied += not skipped
+        scheduled = not skipped and applied % cfg.eval_every == 0
         train_acc = val_acc = None
-        if not skipped:
-            applied += 1
-            if applied % cfg.eval_every == 0:
-                train_acc = accuracy(params, train.features, train.labels, spec)
-                val_acc = accuracy(params, val_x, val_y, spec)
-                sched, opt = plateau_update(sched, opt, val_acc)
-        if t == cfg.steps and val_acc is None:
-            # final-step snapshot for summaries; never fed to the scheduler
+        # the final step is always scored for summaries, but only a scheduled
+        # evaluation feeds the plateau scheduler
+        if scheduled or t == cfg.steps:
             train_acc = accuracy(params, train.features, train.labels, spec)
             val_acc = accuracy(params, val_x, val_y, spec)
+        if scheduled:
+            sched, opt = plateau_update(sched, opt, val_acc)
 
         records.append(
             StepRecord(
@@ -203,7 +202,7 @@ def run_detailed(cfg: RunConfig) -> RunResult:
             )
         )
 
-    return RunResult(records, params, opt, sched, train, val_x, val_y)
+    return RunResult(records, params, opt, sched, train)
 
 
 def run(cfg: RunConfig) -> list[StepRecord]:
@@ -215,14 +214,12 @@ def measure_pairwise_distance_trend(cfg: RunConfig, u_values: list[int]) -> dict
     """Mean two-worker cosine distance over the last quartile, per microbatch size.
 
     Runs plain-averaging training once per u value on a k=2 config and
-    averages the recorded pairwise distances over the final quarter of steps.
+    takes its summary's mean recorded distance over the final quarter of steps.
     """
     if cfg.k != 2:
         raise ValueError("pairwise distance trend is defined for k=2")
-    out: dict[int, float] = {}
+    trend = {}
     for u in u_values:
-        records = run(replace(cfg, u=u, aggregator=AGG_AVERAGING))
-        tail = records[(3 * len(records)) // 4 :]
-        distances = [d for r in tail for d in r.cos_distances]
-        out[u] = sum(distances) / len(distances)
-    return out
+        summary = summarize(run(replace(cfg, u=u, aggregator=AGG_AVERAGING)))
+        trend[u] = summary["mean_cos_distance_last_quartile"]
+    return trend

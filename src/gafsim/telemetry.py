@@ -83,25 +83,16 @@ def write_records(records: list[StepRecord], path) -> None:
     # vars() holds the fields in declaration (schema) order; asdict would
     # deep-copy every value first and double the cost of a write
     lines = [json.dumps(vars(r), separators=(",", ":")) for r in records]
+    # the CSV columns are the record fields, the distances reduced to their mean
     csv_buf = io.StringIO()
     writer = csv.writer(csv_buf, lineterminator="\n")
-    writer.writerow(
-        ["step", "train_loss", "cos_distance_mean", "accepted_count", "skipped", "lr", "train_acc", "val_acc"]
-    )
+    writer.writerow(name.replace("cos_distances", "cos_distance_mean") for name in RECORD_FIELDS)
     for r in records:
-        mean_d = sum(r.cos_distances) / len(r.cos_distances) if r.cos_distances else ""
-        writer.writerow(
-            [
-                r.step,
-                repr(r.train_loss),
-                repr(mean_d) if mean_d != "" else "",
-                r.accepted_count,
-                "true" if r.skipped else "false",
-                repr(r.lr),
-                "" if r.train_acc is None else repr(r.train_acc),
-                "" if r.val_acc is None else repr(r.val_acc),
-            ]
-        )
+        d = r.cos_distances
+        row = {**vars(r), "cos_distances": sum(d) / len(d) if d else None,
+               "skipped": "true" if r.skipped else "false"}
+        # csv writes None as an empty cell and floats by repr
+        writer.writerow(row.values())
     try:
         write_atomic(path, "".join(line + "\n" for line in lines))
         write_atomic(path.with_suffix(".csv"), csv_buf.getvalue())

@@ -6,6 +6,7 @@ scale; the constants below are frozen on purpose so regressions are loud.
 Seed gates are spelled out per criterion.
 """
 
+import functools
 import json
 import os
 import subprocess
@@ -88,6 +89,9 @@ def cluster_cfg(noise_rate: float, aggregator: str, tau: float, seed: int, **ove
                      master_seed=seed, **kw)
 
 
+# criterion 7's u = 10 legs are configs criterion 5 also runs; a RunConfig is
+# frozen and hashable, so equal configs share one run
+@functools.cache
 def final_val(cfg) -> float:
     records = run(cfg)
     vals = [r.val_acc for r in records if r.val_acc is not None]

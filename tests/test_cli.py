@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -29,6 +30,19 @@ def minimal_config(tmp_path, **run_overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+# sha256 of each summary.json and of sweep_summary.csv written by
+# test_tau_sweep_outputs_are_golden's sweep
+SWEEP_GOLDEN_DIGESTS = {
+    "avg_tau2_u3_k2_noise0.2_seed0": "253fe96e7ba7c0cc5d54e6ef8b3b7acff7ca9b5da9f7adc027d628bd1f6fd490",
+    "avg_tau2_u3_k2_noise0.2_seed1": "1f17abb7f4d6d53d6cbdafbddfd168cc8849303b3d2ad231defc4db3bf1f4fed",
+    "gaf_tau0.5_u3_k2_noise0.2_seed0": "9bc123ec982268d74365df4a45e381985bb63a92352981ea6b3c6ea5f7dff73a",
+    "gaf_tau0.5_u3_k2_noise0.2_seed1": "7c2ddc5a3d36d2cd16817fa34a3d5a1665e10b76b5b2a25d688db72d2566d1d1",
+    "gaf_tau1_u3_k2_noise0.2_seed0": "e3351e5e16f2c3875f7c6416742a9d0f3441b79ca78550ff0ec657c8ec368c83",
+    "gaf_tau1_u3_k2_noise0.2_seed1": "b72c1141c06c9669ca3fbe56eae2b4d7b625efe9a1593263417f02e188301fdb",
+    "sweep_summary.csv": "1bbcdd0a8db7a2781bfcf5dbc9812e13bb8734b2b0bf8b6f97773753f7cf842f",
+}
 
 
 def read_summary(out_dir, name):
@@ -107,6 +121,21 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg)]) == 1
         assert f"{data}:8: feature f0 must be a finite number" in capsys.readouterr().err
 
+    def test_csv_model_mismatch_names_file_and_key(self, tmp_path, capsys):
+        # a 4-class, 2-feature file against a 3-class, 5-input model
+        data = tmp_path / "bad.csv"
+        rows = [f"{i % 5}.0,{i % 7}.5,{i % 4}" for i in range(80)]
+        data.write_text("f0,f1,label\n" + "\n".join(rows) + "\n")
+        cfg = minimal_config(tmp_path, model={"kind": "softmax_linear", "input_dim": 5,
+                                              "num_classes": 3},
+                             data={"kind": "csv", "path": str(data)})
+        assert main(["run", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert (f"{data}: 2 features and 4 classes, run.model has input_dim 5 "
+                "and num_classes 3") in err
+        assert "diverged" not in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("pivot", ["5", "-1"])
     def test_pivot_out_of_range_is_config_error(self, tmp_path, capsys, pivot):
         cfg = minimal_config(tmp_path)
@@ -165,6 +194,45 @@ class TestSweepCommand:
         single = (tmp_path / "single" / "gaf_tau0.97_u3_k2_noise0_seed0" / "records.jsonl")
         swept = gaf_dir / "records.jsonl"
         assert single.read_bytes() == swept.read_bytes()
+
+    def test_tau_sweep_outputs_are_golden(self, tmp_path):
+        # digests recorded before the table and summary writers were derived
+        # from summarize's keys; the bytes must never move
+        path = minimal_config(tmp_path, steps=12, data={"kind": "gaussian", "n_per_class": 40,
+                                                        "sigma": 0.5, "noise_rate": 0.2})
+        obj = json.loads(path.read_text())
+        obj["sweep"] = {"tau_grid": [0.5, 1]}
+        obj["seeds"] = [0, 1]
+        path.write_text(json.dumps(obj))
+        assert main(["sweep", "--config", str(path)]) == 0
+        out = tmp_path / "out"
+        digests = {p.parent.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in out.glob("*/summary.json")}
+        digests["sweep_summary.csv"] = hashlib.sha256(
+            (out / "sweep_summary.csv").read_bytes()).hexdigest()
+        assert digests == SWEEP_GOLDEN_DIGESTS
+
+    def test_table_keeps_finished_rows_when_a_later_run_fails(self, tmp_path, monkeypatch):
+        path = minimal_config(tmp_path, steps=6)
+        obj = json.loads(path.read_text())
+        obj["sweep"] = {"tau_grid": [0.5, 1]}
+        obj["seeds"] = [0, 1]
+        path.write_text(json.dumps(obj))
+        calls = []
+
+        def run_then_fail(cfg):
+            calls.append(cfg)
+            if len(calls) == 3:  # the first seed's avg and gaf runs finish
+                raise RuntimeError("simulated crash")
+            return real_run(cfg)
+
+        real_run = cli.run
+        monkeypatch.setattr(cli, "run", run_then_fail)
+        assert main(["sweep", "--config", str(path)]) == 1
+        with (tmp_path / "out" / "sweep_summary.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["value"], r["seed"], r["aggregator"]) for r in rows] == [
+            ("0.5", "0", "avg"), ("0.5", "0", "gaf")]
 
     def test_sweep_requires_exactly_one_axis(self, tmp_path, capsys):
         path = minimal_config(tmp_path)

@@ -104,6 +104,46 @@ class TestStepAccounting:
         with pytest.raises(ValueError, match="divisible"):
             run(cfg)
 
+    @pytest.mark.parametrize("kind", ["gaussian", "white_noise", "csv"])
+    def test_data_model_class_conflict_rejected(self, kind):
+        data = DataConfig(kind=kind, num_classes=4, input_dim=8, path="d.csv")
+        with pytest.raises(ValueError, match="data.num_classes 4 conflicts with "
+                                             "model.num_classes 5"):
+            base_cfg(data=data)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "white_noise"])
+    def test_data_model_input_dim_conflict_rejected(self, kind):
+        data = DataConfig(kind=kind, num_classes=5, input_dim=9)
+        with pytest.raises(ValueError, match="data.input_dim 9 conflicts with "
+                                             "model.input_dim 8"):
+            base_cfg(data=data)
+
+    @pytest.mark.parametrize("model_dims", [(5, 3), (2, 3)], ids=["input_dim", "num_classes"])
+    def test_csv_model_mismatch_names_file_before_step_1(self, tmp_path, model_dims):
+        # a 4-class, 2-feature file: too wide for 5 inputs, too many classes for 3
+        path = tmp_path / "bad.csv"
+        rows = [f"{i % 5}.0,{i % 7}.5,{i % 4}" for i in range(80)]
+        path.write_text("f0,f1,label\n" + "\n".join(rows) + "\n")
+        input_dim, num_classes = model_dims
+        model = ModelSpec(kind=SOFTMAX_LINEAR, input_dim=input_dim, num_classes=num_classes)
+        data = DataConfig(kind="csv", num_classes=num_classes, path=str(path))
+        cfg = base_cfg(model=model, data=data, u=4, sampling="uniform")
+        with pytest.raises(ValueError) as info:
+            run(cfg)
+        assert str(info.value) == (
+            f"{path}: 2 features and 4 classes, run.model has input_dim {input_dim} "
+            f"and num_classes {num_classes}"
+        )
+
+    def test_csv_with_fewer_classes_than_model_runs(self, tmp_path):
+        path = tmp_path / "d.csv"
+        rows = [f"{i % 5}.0,{i % 3}" for i in range(60)]
+        path.write_text("f0,label\n" + "\n".join(rows) + "\n")
+        model = ModelSpec(kind=SOFTMAX_LINEAR, input_dim=1, num_classes=5)
+        data = DataConfig(kind="csv", num_classes=5, path=str(path))
+        assert len(run(base_cfg(model=model, data=data, u=4, steps=3,
+                                sampling="uniform"))) == 3
+
     def test_skips_plus_applied_cover_run(self):
         result = run_detailed(base_cfg(aggregator="gaf", tau=0.5, steps=80))
         skips = sum(r.skipped for r in result.records)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import time
 
@@ -67,6 +68,11 @@ class TestSerialization:
             "skipped", "lr", "train_acc", "val_acc",
         ]
         assert isinstance(obj["cos_distances"], list)
+
+    def test_one_record_schema(self):
+        # the JSON keys, the CSV columns and read_records' type table all
+        # come from RECORD_FIELDS, so it must name the StepRecord fields
+        assert list(telemetry.RECORD_FIELDS) == [f.name for f in dataclasses.fields(StepRecord)]
 
     @pytest.mark.parametrize("line, message", [
         ('{"step": 3,', "invalid JSON"),
