@@ -27,7 +27,6 @@ from .data import (
 from .gradvec import GradVec, cosine_distance, dot, l2_norm
 from .models import (
     ModelSpec,
-    Params,
     accuracy,
     init_params,
     loss_and_grad,
@@ -71,7 +70,6 @@ __all__ = [
     "dot",
     "l2_norm",
     "ModelSpec",
-    "Params",
     "accuracy",
     "init_params",
     "loss_and_grad",

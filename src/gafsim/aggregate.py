@@ -62,22 +62,17 @@ class AggregationOutcome:
 def _validated(grads: list[GradVec] | np.ndarray) -> np.ndarray:
     """The micro-gradients as one finite (k, P) float64 block.
 
-    A (k, P) array is checked in one pass; a list of vectors is checked
-    per vector, then stacked.
+    A list of equal-length vectors becomes the block np.stack would build;
+    a float64 block passes through uncopied.
     """
     if len(grads) == 0:
         raise ValueError("no gradients to aggregate")
-    if not (isinstance(grads, np.ndarray) and grads.ndim == 2):
-        vecs = [np.asarray(g, dtype=np.float64) for g in grads]
-        for i, v in enumerate(vecs):
-            if v.ndim != 1:
-                raise ValueError(f"gradient vector must be 1-D, got shape {v.shape}")
-            if v.shape != vecs[0].shape:
-                raise ValueError(
-                    f"dimension mismatch at index {i}: {v.shape[0]} vs {vecs[0].shape[0]}"
-                )
-        grads = np.stack(vecs)
-    block = np.asarray(grads, dtype=np.float64)
+    try:
+        block = np.asarray(grads, dtype=np.float64)
+    except ValueError as exc:
+        raise ValueError(f"gradient dimension mismatch: {exc}") from None
+    if block.ndim != 2:
+        raise ValueError(f"gradients must be 1-D vectors, got a block of shape {block.shape}")
     if not np.isfinite(block).all():
         raise ValueError("gradient vector contains non-finite entries")
     return block

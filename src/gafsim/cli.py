@@ -31,7 +31,7 @@ import numpy as np
 
 from .aggregate import GafConfig, gaf_aggregate
 from .data import DataConfig
-from .models import MLP1, SOFTMAX_LINEAR, ModelSpec, Params, init_params, loss_and_grad
+from .models import MLP1, SOFTMAX_LINEAR, ModelSpec, init_params, loss_and_grad
 from .sim import AGG_AVERAGING, AGG_GAF, RunConfig, run
 from .telemetry import summarize, write_atomic, write_records
 
@@ -287,15 +287,14 @@ def cmd_check() -> int:
         x = rng.normal(size=(8, 6))
         y = rng.integers(0, 4, size=8)
         _, grad = loss_and_grad(params, x, y, spec, weight_decay=0.01)
-        flat = params.flat
         worst = 0.0
         h = 1e-5
-        for idx in rng.choice(flat.size, size=25, replace=False):
-            hi_flat, lo_flat = flat.copy(), flat.copy()
-            hi_flat[idx] += h
-            lo_flat[idx] -= h
-            hi, _ = loss_and_grad(Params(hi_flat, params.shapes), x, y, spec, weight_decay=0.01)
-            lo, _ = loss_and_grad(Params(lo_flat, params.shapes), x, y, spec, weight_decay=0.01)
+        for idx in rng.choice(params.size, size=25, replace=False):
+            hi_params, lo_params = params.copy(), params.copy()
+            hi_params[idx] += h
+            lo_params[idx] -= h
+            hi, _ = loss_and_grad(hi_params, x, y, spec, weight_decay=0.01)
+            lo, _ = loss_and_grad(lo_params, x, y, spec, weight_decay=0.01)
             fd = (hi - lo) / (2 * h)
             denom = max(abs(fd), abs(grad[idx]), 1e-8)
             worst = max(worst, abs(fd - grad[idx]) / denom)

@@ -4,12 +4,13 @@ Two model kinds: multinomial logistic regression ("softmax_linear") and a
 one-hidden-layer MLP ("mlp1", tanh or relu). Both return exact analytic
 gradients of mean cross-entropy plus coupled L2 weight decay, flattened in
 parameter order, so micro-gradients can be compared and aggregated as flat
-vectors.
+vectors. The parameters are one such flat float64 vector too; its layout
+comes only from ModelSpec.layer_shapes().
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,6 +68,9 @@ def _layer_views(flat: np.ndarray, shapes) -> list[tuple[np.ndarray, np.ndarray]
 
     A leading axis (one row per worker) carries through to every view.
     """
+    expected = sum(rows * cols + n_bias for (rows, cols), (n_bias,) in shapes)
+    if flat.shape[-1] != expected:
+        raise ValueError(f"flat vector has {flat.shape[-1]} entries, expected {expected}")
     lead = flat.shape[:-1]
     views = []
     offset = 0
@@ -75,39 +79,17 @@ def _layer_views(flat: np.ndarray, shapes) -> list[tuple[np.ndarray, np.ndarray]
         offset += rows * cols
         views.append((w, flat[..., offset : offset + n_bias]))
         offset += n_bias
-    if offset != flat.shape[-1]:
-        raise ValueError(f"flat vector has {flat.shape[-1]} entries, expected {offset}")
     return views
 
 
-@dataclass
-class Params:
-    """All parameters as one flat float64 vector.
-
-    `layers` holds per-layer (weight, bias) views into `flat`, in parameter
-    order, so the model reads the vector in place and an optimizer step
-    only ever builds a new vector.
-    """
-
-    flat: GradVec
-    shapes: list[tuple[tuple[int, int], tuple[int]]]
-    layers: list[tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.layers = _layer_views(self.flat, self.shapes)
-
-    @property
-    def total_dim(self) -> int:
-        return self.flat.shape[0]
-
-
-def init_params(spec: ModelSpec) -> Params:
-    """Deterministic initialization from spec.init_seed."""
+def init_params(spec: ModelSpec) -> np.ndarray:
+    """All parameters as one flat float64 vector laid out by spec.layer_shapes(),
+    drawn deterministically from spec.init_seed."""
     shapes = spec.layer_shapes()
-    params = Params(np.zeros(sum(r * c + n for (r, c), (n,) in shapes)), shapes)
+    params = np.zeros(sum(r * c + n for (r, c), (n,) in shapes))
     if spec.init_sigma > 0:
         rng = np.random.default_rng(spec.init_seed)
-        for w, _ in params.layers:
+        for w, _ in _layer_views(params, shapes):
             w[...] = rng.normal(0.0, spec.init_sigma, size=w.shape)
     return params
 
@@ -117,8 +99,9 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def _forward(params: Params, features: np.ndarray, spec: ModelSpec):
-    """The model's forward pass over any leading axes of `features`.
+def _forward(layers, features: np.ndarray, spec: ModelSpec):
+    """The model's forward pass, on the (weight, bias) views `layers`, over any
+    leading axes of `features`.
 
     Returns (pre-activation, or None for softmax_linear; the last layer's
     input; logits).
@@ -126,15 +109,15 @@ def _forward(params: Params, features: np.ndarray, spec: ModelSpec):
     pre = None
     last_in = features
     if spec.kind == MLP1:
-        w1, b1 = params.layers[0]
+        w1, b1 = layers[0]
         pre = features @ w1.T + b1
         last_in = np.tanh(pre) if spec.activation == "tanh" else np.maximum(pre, 0.0)
-    w, b = params.layers[-1]
+    w, b = layers[-1]
     return pre, last_in, last_in @ w.T + b
 
 
 def loss_and_grad(
-    params: Params,
+    params: np.ndarray,
     features: np.ndarray,
     labels: np.ndarray,
     spec: ModelSpec,
@@ -169,10 +152,12 @@ def loss_and_grad(
     # flat index of each row's label entry in a (k, n, c) array
     picks = np.arange(0, k * n * c, c) + labels.ravel()
 
-    grad = np.empty((k, params.total_dim))
-    views = _layer_views(grad, params.shapes)
-    pre, last_in, logits = _forward(params, features, spec)
-    w = params.layers[-1][0]
+    shapes = spec.layer_shapes()
+    layers = _layer_views(params, shapes)
+    grad = np.empty((k, params.size))
+    views = _layer_views(grad, shapes)
+    pre, last_in, logits = _forward(layers, features, spec)
+    w = layers[-1][0]
     log_p = _log_softmax(logits)
     ce = -log_p.reshape(-1)[picks].reshape(k, n).mean(axis=-1)
     dlogits = np.exp(log_p)
@@ -190,7 +175,7 @@ def loss_and_grad(
         else:
             # relu subgradient at exactly 0 is taken as 0
             dpre = dhidden * (pre > 0.0)
-        w1 = params.layers[0][0]
+        w1 = layers[0][0]
         gw1, gb1 = views[0]
         np.matmul(dpre.transpose(0, 2, 1), features, out=gw1)
         gw1 += weight_decay * w1
@@ -204,12 +189,12 @@ def loss_and_grad(
     return (losses, grad) if stacked else (float(losses[0]), grad[0])
 
 
-def _predict_chunk_rows(params: Params) -> int:
+def _predict_chunk_rows(layers) -> int:
     """Rows per predict chunk: every matmul in a chunk has m*n*k <= _BLAS_SERIAL_MNK."""
-    return max(1, _BLAS_SERIAL_MNK // max(w.size for w, _ in params.layers))
+    return max(1, _BLAS_SERIAL_MNK // max(w.size for w, _ in layers))
 
 
-def predict(params: Params, features: np.ndarray, spec: ModelSpec) -> np.ndarray:
+def predict(params: np.ndarray, features: np.ndarray, spec: ModelSpec) -> np.ndarray:
     """Argmax class per row; ties resolve to the lowest class index.
 
     Rows are evaluated in chunks small enough that BLAS runs each product
@@ -218,16 +203,17 @@ def predict(params: Params, features: np.ndarray, spec: ModelSpec) -> np.ndarray
     set is (an empty set is one empty chunk).
     """
     features = np.asarray(features, dtype=np.float64)
-    rows = _predict_chunk_rows(params)
+    layers = _layer_views(params, spec.layer_shapes())
+    rows = _predict_chunk_rows(layers)
     return np.concatenate(
         [
-            _forward(params, features[i : i + rows], spec)[2].argmax(axis=-1)
+            _forward(layers, features[i : i + rows], spec)[2].argmax(axis=-1)
             for i in range(0, max(features.shape[0], 1), rows)
         ]
     )
 
 
-def accuracy(params: Params, features: np.ndarray, labels: np.ndarray, spec: ModelSpec) -> float:
+def accuracy(params: np.ndarray, features: np.ndarray, labels: np.ndarray, spec: ModelSpec) -> float:
     """Fraction of argmax-correct predictions."""
     labels = np.asarray(labels)
     if labels.shape[0] == 0:

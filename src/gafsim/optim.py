@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .gradvec import GradVec
-from .models import Params
 
 
 @dataclass(frozen=True)
@@ -55,13 +54,12 @@ def init_optim(lr: float, momentum: float, dim: int) -> OptimState:
     return OptimState(lr=lr, momentum=momentum, velocity=np.zeros(dim))
 
 
-def sgd_step(params: Params, grad: GradVec, opt: OptimState) -> tuple[Params, OptimState]:
+def sgd_step(params: np.ndarray, grad: GradVec, opt: OptimState) -> tuple[np.ndarray, OptimState]:
     """velocity <- momentum * velocity + grad; params <- params - lr * velocity."""
-    if grad.shape != params.flat.shape:
-        raise ValueError(f"gradient dim {grad.shape[0]} does not match params {params.total_dim}")
+    if grad.shape != params.shape:
+        raise ValueError(f"gradient shape {grad.shape} does not match params {params.shape}")
     velocity = opt.momentum * opt.velocity + grad
-    new_params = Params(params.flat - opt.lr * velocity, params.shapes)
-    return new_params, replace(opt, velocity=velocity, step_count=opt.step_count + 1)
+    return params - opt.lr * velocity, replace(opt, velocity=velocity, step_count=opt.step_count + 1)
 
 
 def skip_step(opt: OptimState) -> OptimState:

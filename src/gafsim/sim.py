@@ -21,7 +21,7 @@ import numpy as np
 from . import data as data_mod
 from .aggregate import GafConfig, average, gaf_aggregate, running_scan_distances
 from .data import Dataset, DataConfig, make_dataset, sample_macrobatch, take
-from .models import ModelSpec, Params, accuracy, init_params, loss_and_grad
+from .models import ModelSpec, accuracy, init_params, loss_and_grad
 from .optim import OptimState, SchedState, init_optim, plateau_update, sgd_step, skip_step
 from .telemetry import StepRecord, summarize
 
@@ -87,13 +87,13 @@ class RunConfig:
             raise ValueError(f"unknown aggregator {self.aggregator!r}")
         if self.sampling not in (data_mod.STRATIFIED, data_mod.UNIFORM):
             raise ValueError(f"unknown sampling {self.sampling!r}")
-        if self.data.num_classes != self.model.num_classes:
-            raise ValueError(f"data.num_classes {self.data.num_classes} conflicts with "
-                             f"model.num_classes {self.model.num_classes}")
         # a CSV file's dims are known only once it is read: run_detailed checks
         # them before step 1, and sampling checks u against its class count
-        classes = self.data.num_classes
         if self.data.kind != data_mod.CSV:
+            classes = self.data.num_classes
+            if classes != self.model.num_classes:
+                raise ValueError(f"data.num_classes {classes} conflicts with "
+                                 f"model.num_classes {self.model.num_classes}")
             if self.data.input_dim != self.model.input_dim:
                 raise ValueError(f"data.input_dim {self.data.input_dim} conflicts with "
                                  f"model.input_dim {self.model.input_dim}")
@@ -108,12 +108,20 @@ class RunConfig:
             raise ValueError("eval_every must be >= 1")
         if self.pivot is not None and not 0 <= self.pivot < self.k:
             raise ValueError(f"pivot {self.pivot} out of range [0, {self.k}) for k={self.k}")
+        # the optimizer's and scheduler's own range checks, run here rather than at step 1
+        OptimState(lr=self.lr, momentum=self.momentum, velocity=np.zeros(0))
+        self.initial_sched()
+
+    def initial_sched(self) -> SchedState:
+        return SchedState(
+            patience=self.patience, factor=self.lr_factor, min_lr=self.min_lr, min_delta=self.min_delta
+        )
 
 
 @dataclass
 class RunResult:
     records: list[StepRecord]
-    params: Params
+    params: np.ndarray
     opt: OptimState
     sched: SchedState
     train: Dataset
@@ -144,13 +152,10 @@ def run_detailed(cfg: RunConfig) -> RunResult:
 
     spec = replace(cfg.model, init_seed=derive_seed(master, _TAG_INIT, cfg.model.init_seed))
     params = init_params(spec)
-    opt = init_optim(cfg.lr, cfg.momentum, params.total_dim)
-    sched = SchedState(
-        patience=cfg.patience, factor=cfg.lr_factor, min_lr=cfg.min_lr, min_delta=cfg.min_delta
-    )
+    opt = init_optim(cfg.lr, cfg.momentum, params.size)
+    sched = cfg.initial_sched()
 
     records: list[StepRecord] = []
-    applied = 0
     for t in range(1, cfg.steps + 1):
         _, features, labels = sample_macrobatch(
             train, cfg.k, cfg.u, cfg.sampling, derive_seed(master, _TAG_STEP, t)
@@ -178,8 +183,7 @@ def run_detailed(cfg: RunConfig) -> RunResult:
         except ValueError as exc:
             raise RuntimeError(f"training diverged at step {t}: {exc}") from exc
 
-        applied += not skipped
-        scheduled = not skipped and applied % cfg.eval_every == 0
+        scheduled = not skipped and opt.step_count % cfg.eval_every == 0
         train_acc = val_acc = None
         # the final step is always scored for summaries, but only a scheduled
         # evaluation feeds the plateau scheduler

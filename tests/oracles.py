@@ -69,8 +69,10 @@ def single_batch_loss_and_grad(params, features, labels, spec, weight_decay=0.0)
         shifted = logits - logits.max(axis=1, keepdims=True)
         return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
+    c, d, h = spec.num_classes, spec.input_dim, spec.hidden_dim
     if spec.kind == "softmax_linear":
-        (w, b) = params.layers[0]
+        w, b = np.split(params, [c * d])
+        w = w.reshape(c, d)
         log_p = log_softmax(features @ w.T + b)
         ce = -log_p[rows, labels].mean()
         dlogits = np.exp(log_p)
@@ -79,7 +81,8 @@ def single_batch_loss_and_grad(params, features, labels, spec, weight_decay=0.0)
         gw = dlogits.T @ features + weight_decay * w
         loss = ce + 0.5 * weight_decay * float((w * w).sum())
         return float(loss), np.concatenate([gw.ravel(), dlogits.sum(axis=0)])
-    (w1, b1), (w2, b2) = params.layers
+    w1, b1, w2, b2 = np.split(params, np.cumsum([h * d, h, c * h]))
+    w1, w2 = w1.reshape(h, d), w2.reshape(c, h)
     pre = features @ w1.T + b1
     hidden = np.tanh(pre) if spec.activation == "tanh" else np.maximum(pre, 0.0)
     log_p = log_softmax(hidden @ w2.T + b2)

@@ -1,17 +1,19 @@
 """Digests of seeded random training runs, to show a change keeps records byte-identical.
 
     PYTHONPATH=src python3 tests/records_digest.py 300 > after.json
-    PYTHONPATH=/path/to/parent/src python3 tests/records_digest.py 300 > before.json
+    (cd /path/to/parent && PYTHONPATH=src python3 tests/records_digest.py 300) > before.json
     diff before.json after.json
 
-Prints one JSON object, config index -> sha256 over the run's
-``records.jsonl`` and ``records.csv`` bytes (as ``write_records`` writes
-them) followed by its final parameter vector's bytes. Config i is drawn
-from a generator seeded with i, so a given N names the same configs under
-any version of gafsim. The draws cover both model kinds, both activations,
-both sampling modes, both aggregators, k 1-5, weight decay 0 and > 0, and
-datasets of up to 3500 rows (so evaluation spans several chunks). A run
-that fails digests its error message instead.
+Run each side's own copy of the script, as above: it reads a run's result
+through that version's API. Prints one JSON object, config index -> sha256
+over the run's ``records.jsonl`` and ``records.csv`` bytes (as
+``write_records`` writes them) followed by the bytes of its final
+parameter vector (``RunResult.params``, one flat float64 array). Config
+i is drawn from a generator seeded with i, so a given N names the same
+configs under any version of gafsim. The draws cover both model kinds,
+both activations, both sampling modes, both aggregators, k 1-5, weight
+decay 0 and > 0, and datasets of up to 3500 rows (so evaluation spans
+several chunks). A run that fails digests its error message instead.
 
 This is a script, not a test module: pytest does not collect it. The
 golden-digest tests import ``run_digest`` from it.
@@ -40,7 +42,7 @@ def run_digest(cfg: RunConfig) -> str:
         path = Path(tmp) / "records.jsonl"
         write_records(result.records, path)
         blob = path.read_bytes() + path.with_suffix(".csv").read_bytes()
-    return hashlib.sha256(blob + result.params.flat.tobytes()).hexdigest()
+    return hashlib.sha256(blob + result.params.tobytes()).hexdigest()
 
 
 def random_config(index: int) -> RunConfig:

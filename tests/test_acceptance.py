@@ -22,7 +22,6 @@ from gafsim import (
     DataConfig,
     GafConfig,
     ModelSpec,
-    Params,
     RunConfig,
     average,
     gaf_aggregate,
@@ -150,13 +149,12 @@ class TestCriterion2GradientCorrectness:
             y = rng.integers(0, spec.num_classes, size=n)
             wd = float(rng.choice([0.0, 0.01]))
             _, grad = loss_and_grad(params, x, y, spec, weight_decay=wd)
-            flat = params.flat
 
             def loss_of(vec, spec=spec, x=x, y=y, wd=wd):
-                return loss_and_grad(Params(vec, spec.layer_shapes()), x, y, spec, weight_decay=wd)[0]
+                return loss_and_grad(vec, x, y, spec, weight_decay=wd)[0]
 
-            idx = rng.choice(flat.size, size=min(50, flat.size), replace=False)
-            for i, fd in finite_difference_grad(loss_of, flat, idx, h=1e-5).items():
+            idx = rng.choice(params.size, size=min(50, params.size), replace=False)
+            for i, fd in finite_difference_grad(loss_of, params, idx, h=1e-5).items():
                 denom = max(abs(fd), abs(grad[i]), 1e-8)
                 worst = max(worst, abs(fd - grad[i]) / denom)
         elapsed = time.monotonic() - start
@@ -200,8 +198,8 @@ class TestCriterion3DeterminismAndSkips:
                                               skip_cfg.model.init_seed))
         untouched = (
             all(r.skipped for r in result.records)
-            and np.array_equal(result.params.flat, init_params(spec0).flat)
-            and np.array_equal(result.opt.velocity, np.zeros(result.params.total_dim))
+            and np.array_equal(result.params, init_params(spec0))
+            and np.array_equal(result.opt.velocity, np.zeros(result.params.size))
             and result.opt.lr == skip_cfg.lr
             and result.opt.step_count == 0
             and result.sched.bad_epochs == 0

@@ -39,7 +39,7 @@ class TestAverage:
             average([])
 
     def test_dim_mismatch_errors(self):
-        with pytest.raises(ValueError, match="mismatch"):
+        with pytest.raises(ValueError, match="dimension mismatch"):
             average([v(1, 2), v(1, 2, 3)])
 
 
@@ -173,9 +173,9 @@ class TestGradientBlock:
                 call(grads)
 
     def test_non_vector_element_errors(self):
-        with pytest.raises(ValueError, match="must be 1-D"):
+        with pytest.raises(ValueError, match="dimension mismatch"):
             average([v(1, 2), np.ones((2, 2))])
-        with pytest.raises(ValueError, match="must be 1-D"):
+        with pytest.raises(ValueError, match="must be 1-D vectors"):
             average(np.ones((2, 2, 2)))
 
 

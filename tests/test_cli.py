@@ -338,7 +338,7 @@ class TestConfigSchema:
     def test_int_values_of_float_keys_are_floats(self):
         obj = {"run": {"model": {"kind": "softmax_linear", "input_dim": 6, "num_classes": 5,
                                  "init_sigma": 1},
-                       "data": {"kind": "gaussian", "sigma": 2}, "tau": 1, "lr": 0}}
+                       "data": {"kind": "gaussian", "sigma": 2}, "tau": 1, "lr": 1}}
         cfg = load_experiment(obj)["run"]
         assert [type(v) for v in (cfg.model.init_sigma, cfg.data.sigma, cfg.tau, cfg.lr)] == [
             float] * 4
@@ -416,6 +416,19 @@ class TestConfigErrors:
             section = section[key]
         section[where[-1]] = value
         self.assert_config_error(tmp_path, capsys, obj, message, command=command)
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--lr", "-1"], "run: lr must be positive"),
+        (["--momentum", "1.0"], "run: momentum must be in [0, 1)"),
+        (["--lr-factor", "1.5"], "run: factor must be in (0, 1)"),
+        (["--patience", "-1"], "run: patience must be >= 0"),
+    ], ids=["lr", "momentum", "lr-factor", "patience"])
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_optimizer_setting_rejected_before_any_run(self, tmp_path, capsys, flags, message,
+                                                       command):
+        obj = self.base(tmp_path)
+        obj["sweep"] = {"tau_grid": [0.97]}
+        self.assert_config_error(tmp_path, capsys, obj, message, command=command, flags=flags)
 
     def test_range_error_from_flag_names_section(self, tmp_path, capsys):
         self.assert_config_error(tmp_path, capsys, self.base(tmp_path),

@@ -26,7 +26,7 @@ def train_linear(ds, steps=300, lr=1.0):
     spec = ModelSpec(kind=SOFTMAX_LINEAR, input_dim=ds.dim, num_classes=ds.num_classes,
                      init_sigma=0.0)
     params = init_params(spec)
-    opt = init_optim(lr, 0.0, params.total_dim)
+    opt = init_optim(lr, 0.0, params.size)
     for _ in range(steps):
         _, grad = loss_and_grad(params, ds.features, ds.labels, spec)
         params, opt = sgd_step(params, grad, opt)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,12 +9,12 @@ from gafsim.models import (
     MLP1,
     SOFTMAX_LINEAR,
     ModelSpec,
-    Params,
     accuracy,
     init_params,
     loss_and_grad,
     predict,
 )
+from gafsim.optim import init_optim, sgd_step
 
 from conftest import N_PROPERTY_CASES
 from oracles import finite_difference_grad, single_batch_loss_and_grad
@@ -32,6 +33,10 @@ BENCH_SPECS = [
     ModelSpec(kind=MLP1, input_dim=32, num_classes=10, hidden_dim=64, activation="tanh",
               init_sigma=10.0),
 ]
+
+
+def layers(params, spec):
+    return models._layer_views(params, spec.layer_shapes())
 
 
 def random_batch(rng, spec, n=12):
@@ -58,24 +63,24 @@ class TestInit:
     def test_zero_init(self):
         spec = ModelSpec(kind=SOFTMAX_LINEAR, input_dim=4, num_classes=3, init_sigma=0.0)
         params = init_params(spec)
-        assert np.array_equal(params.flat, np.zeros(params.total_dim))
+        assert np.array_equal(params, np.zeros(params.size))
 
     def test_same_seed_same_params(self):
         a = init_params(MLP_TANH)
         b = init_params(MLP_TANH)
-        assert np.array_equal(a.flat, b.flat)
+        assert np.array_equal(a, b)
 
     def test_gaussian_moments(self):
         spec = ModelSpec(kind=SOFTMAX_LINEAR, input_dim=1000, num_classes=10,
                          init_sigma=0.1, init_seed=7)
-        w = init_params(spec).layers[0][0]
+        w = layers(init_params(spec), spec)[0][0]
         assert w.size == 10_000
         assert abs(w.mean()) < 0.1
         assert abs(w.std() - 0.1) < 0.01
 
     def test_biases_start_zero(self):
         for spec in ALL_SPECS:
-            for _, b in init_params(spec).layers:
+            for _, b in layers(init_params(spec), spec):
                 assert np.array_equal(b, np.zeros_like(b))
 
 
@@ -97,13 +102,12 @@ class TestLossAndGrad:
         x, y = random_batch(rng, spec)
         wd = 0.01
         _, grad = loss_and_grad(params, x, y, spec, weight_decay=wd)
-        flat = params.flat
 
         def loss_of(vec):
-            return loss_and_grad(Params(vec, spec.layer_shapes()), x, y, spec, weight_decay=wd)[0]
+            return loss_and_grad(vec, x, y, spec, weight_decay=wd)[0]
 
-        idx = rng.choice(flat.size, size=min(30, flat.size), replace=False)
-        fd = finite_difference_grad(loss_of, flat, idx)
+        idx = rng.choice(params.size, size=min(30, params.size), replace=False)
+        fd = finite_difference_grad(loss_of, params, idx)
         for i, val in fd.items():
             denom = max(abs(val), abs(grad[i]), 1e-8)
             assert abs(val - grad[i]) / denom < 1e-5
@@ -132,7 +136,7 @@ class TestAccuracy:
     def test_constant_predictor_on_its_class(self):
         spec = ModelSpec(kind=SOFTMAX_LINEAR, input_dim=2, num_classes=3, init_sigma=0.0)
         params = init_params(spec)
-        params.layers[0][1][2] = 5.0  # bias pushes every prediction to class 2
+        layers(params, spec)[0][1][2] = 5.0  # bias pushes every prediction to class 2
         x = np.random.default_rng(0).normal(size=(40, 2))
         assert accuracy(params, x, np.full(40, 2), spec) == 1.0
 
@@ -162,9 +166,9 @@ class TestPredict:
     @pytest.mark.parametrize("chunks,extra", [(1, -1), (1, 0), (1, 1), (2, 3)])
     def test_chunked_equals_single_pass(self, spec, chunks, extra, rng):
         params = init_params(spec)
-        n = chunks * models._predict_chunk_rows(params) + extra
+        n = chunks * models._predict_chunk_rows(layers(params, spec)) + extra
         x = rng.normal(size=(n, spec.input_dim))
-        single = models._forward(params, x, spec)[2].argmax(axis=-1)
+        single = models._forward(layers(params, spec), x, spec)[2].argmax(axis=-1)
         assert single.shape == (n,)
         assert np.array_equal(predict(params, x, spec), single)
 
@@ -178,20 +182,50 @@ class TestPredict:
         chunks = []
         real = models._forward
 
-        def recording(params, features, spec):
+        def recording(views, features, spec):
             chunks.append(features.shape[0])
-            return real(params, features, spec)
+            return real(views, features, spec)
 
         monkeypatch.setattr(models, "_forward", recording)
         params = init_params(spec)
         x = np.random.default_rng(0).normal(size=(1000, spec.input_dim))
         predict(params, x, spec)
         assert sum(chunks) == 1000 and len(chunks) > 1
+        sizes = [w.size for w, _ in layers(params, spec)]
         for rows in chunks:
-            for w, _ in params.layers:
-                assert rows * w.size <= 2**18
+            assert all(rows * size <= 2**18 for size in sizes)
         # and no smaller than the cutoff allows
-        assert (chunks[0] + 1) * max(w.size for w, _ in params.layers) > 2**18
+        assert (chunks[0] + 1) * max(sizes) > 2**18
+
+
+class TestLayout:
+    """The spec alone lays out a parameter vector: one made for another spec,
+    or of another length, raises instead of being evaluated."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: init_params(replace(MLP_RELU, hidden_dim=8)),
+        lambda: init_params(LINEAR),
+        lambda: init_params(MLP_TANH)[:-1],
+        lambda: np.append(init_params(MLP_TANH), 0.0),
+    ], ids=["wider-relu-mlp", "linear", "one-short", "one-long"])
+    def test_mismatched_vector_raises(self, make, rng):
+        bad = make()
+        params = init_params(MLP_TANH)
+        x, y = random_batch(rng, MLP_TANH)
+        layout = f"flat vector has {bad.size} entries, expected {params.size}"
+        with pytest.raises(ValueError, match=layout):
+            loss_and_grad(bad, x, y, MLP_TANH)
+        with pytest.raises(ValueError, match=layout):
+            loss_and_grad(bad, np.stack([x, x]), np.stack([y, y]), MLP_TANH)
+        with pytest.raises(ValueError, match=layout):
+            predict(bad, x, MLP_TANH)
+        with pytest.raises(ValueError, match=layout):
+            accuracy(bad, x, y, MLP_TANH)
+        opt = init_optim(0.1, 0.9, params.size)
+        with pytest.raises(ValueError, match="does not match params"):
+            sgd_step(params, bad, opt)
+        with pytest.raises(ValueError, match="does not match params"):
+            sgd_step(bad, params, opt)
 
 
 class TestStacked:
@@ -214,10 +248,11 @@ class TestStacked:
         # the cross-entropy is -0.0; the returned loss must still be +0.0
         spec = ModelSpec(kind=SOFTMAX_LINEAR, input_dim=3, num_classes=4, init_sigma=0.0)
         params = init_params(spec)
-        params.layers[0][1][0] = 1000.0
+        (w, b), = layers(params, spec)
+        b[0] = 1000.0
         x = np.random.default_rng(1).normal(size=(5, 3))
         y = np.zeros(5, dtype=int)
-        log_p = models._log_softmax(x @ params.layers[0][0].T + params.layers[0][1])
+        log_p = models._log_softmax(x @ w.T + b)
         ce = -log_p[np.arange(5), y].mean()
         assert ce == 0.0 and math.copysign(1.0, ce) == -1.0
         loss, _ = loss_and_grad(params, x, y, spec)
@@ -246,13 +281,12 @@ class TestProperties:
                 x, y = random_batch(rng, spec, n=int(rng.integers(1, 10)))
                 wd = float(rng.choice([0.0, 0.01, 0.1]))
                 _, grad = loss_and_grad(params, x, y, spec, weight_decay=wd)
-                flat = params.flat
 
                 def loss_of(vec, spec=spec, x=x, y=y, wd=wd):
-                    return loss_and_grad(Params(vec, spec.layer_shapes()), x, y, spec, weight_decay=wd)[0]
+                    return loss_and_grad(vec, x, y, spec, weight_decay=wd)[0]
 
-                idx = rng.choice(flat.size, size=min(5, flat.size), replace=False)
-                for i, val in finite_difference_grad(loss_of, flat, idx).items():
+                idx = rng.choice(params.size, size=min(5, params.size), replace=False)
+                for i, val in finite_difference_grad(loss_of, params, idx).items():
                     denom = max(abs(val), abs(grad[i]), 1e-8)
                     assert abs(val - grad[i]) / denom < 1e-5
                 cases += 1
@@ -317,14 +351,14 @@ class TestProperties:
             y = rng.integers(0, spec.num_classes, size=(k, u))
             wd = float(rng.choice([0.0, 1e-3, 0.1]))
             losses, grads = loss_and_grad(params, x, y, spec, weight_decay=wd)
-            assert losses.shape == (k,) and grads.shape == (k, params.total_dim)
+            assert losses.shape == (k,) and grads.shape == (k, params.size)
             for i in range(k):
                 loss, grad = loss_and_grad(params, x[i], y[i], spec, weight_decay=wd)
                 ref_loss, ref_grad = single_batch_loss_and_grad(params, x[i], y[i], spec, wd)
                 assert losses[i] == loss == ref_loss
                 assert grads[i].tobytes() == grad.tobytes() == ref_grad.tobytes()
 
-    def test_params_rebuilt_from_flat_roundtrip(self, rng):
+    def test_layer_views_are_writable_views_into_the_vector(self, rng):
         for _ in range(N_PROPERTY_CASES):
             spec = ModelSpec(
                 kind=str(rng.choice([SOFTMAX_LINEAR, MLP1])),
@@ -335,8 +369,12 @@ class TestProperties:
                 init_seed=int(rng.integers(1 << 31)),
             )
             params = init_params(spec)
-            rebuilt = Params(params.flat.copy(), spec.layer_shapes())
-            assert len(rebuilt.layers) == len(params.layers)
-            for (w1, b1), (w2, b2) in zip(params.layers, rebuilt.layers):
-                assert np.array_equal(w1, w2) and np.array_equal(b1, b2)
-            assert rebuilt.total_dim == params.total_dim
+            before = params.copy()
+            views = layers(params, spec)
+            assert [(w.shape, b.shape) for w, b in views] == spec.layer_shapes()
+            assert np.array_equal(np.concatenate([a.ravel() for wb in views for a in wb]), params)
+            # writes through every view land in the vector itself
+            for w, b in views:
+                w += 1.0
+                b += 1.0
+            assert np.array_equal(params, before + 1.0)

@@ -104,12 +104,37 @@ class TestStepAccounting:
         with pytest.raises(ValueError, match="divisible"):
             run(cfg)
 
-    @pytest.mark.parametrize("kind", ["gaussian", "white_noise", "csv"])
+    @pytest.mark.parametrize("kind", ["gaussian", "white_noise"])
     def test_data_model_class_conflict_rejected(self, kind):
-        data = DataConfig(kind=kind, num_classes=4, input_dim=8, path="d.csv")
+        data = DataConfig(kind=kind, num_classes=4, input_dim=8)
         with pytest.raises(ValueError, match="data.num_classes 4 conflicts with "
                                              "model.num_classes 5"):
             base_cfg(data=data)
+
+    def test_csv_dims_need_not_restate_the_model(self, tmp_path):
+        # a CSV file's dims come from the file, so DataConfig's defaults stand
+        path = tmp_path / "d.csv"
+        rows = [f"{i % 7}.0,{i % 3}" for i in range(60)]
+        path.write_text("f0,label\n" + "\n".join(rows) + "\n")
+        model = ModelSpec(kind=SOFTMAX_LINEAR, input_dim=1, num_classes=3)
+        restated = base_cfg(model=model, data=DataConfig(kind="csv", num_classes=3, input_dim=1,
+                                                         path=str(path)), u=3)
+        defaults = replace(restated, data=DataConfig(kind="csv", path=str(path)))
+        assert (defaults.data.num_classes, defaults.data.input_dim) != (3, 1)
+        assert run(defaults) == run(restated)
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("lr", -1.0, "lr must be positive"),
+        ("lr", 0.0, "lr must be positive"),
+        ("momentum", 1.0, r"momentum must be in \[0, 1\)"),
+        ("momentum", -0.1, r"momentum must be in \[0, 1\)"),
+        ("lr_factor", 1.5, r"factor must be in \(0, 1\)"),
+        ("lr_factor", 0.0, r"factor must be in \(0, 1\)"),
+        ("patience", -1, "patience must be >= 0"),
+    ])
+    def test_optimizer_settings_rejected_at_construction(self, key, value, message):
+        with pytest.raises(ValueError, match=message):
+            base_cfg(**{key: value})
 
     @pytest.mark.parametrize("kind", ["gaussian", "white_noise"])
     def test_data_model_input_dim_conflict_rejected(self, kind):
@@ -164,8 +189,8 @@ class TestSkipSemantics:
         assert all(r.skipped for r in result.records)
         spec = replace(cfg.model,
                        init_seed=derive_seed(cfg.master_seed, _TAG_INIT, cfg.model.init_seed))
-        assert np.array_equal(result.params.flat, init_params(spec).flat)
-        assert np.array_equal(result.opt.velocity, np.zeros(result.params.total_dim))
+        assert np.array_equal(result.params, init_params(spec))
+        assert np.array_equal(result.opt.velocity, np.zeros(result.params.size))
         assert result.opt.lr == cfg.lr
         assert result.opt.step_count == 0
         assert result.sched.bad_epochs == 0
@@ -191,7 +216,7 @@ class TestSingleWorker:
         assert result.opt.step_count == 20
         spec = replace(cfg.model,
                        init_seed=derive_seed(cfg.master_seed, _TAG_INIT, cfg.model.init_seed))
-        assert not np.array_equal(result.params.flat, init_params(spec).flat)
+        assert not np.array_equal(result.params, init_params(spec))
 
     @pytest.mark.parametrize("tau", [0.0, 2.0])
     def test_filter_skips_every_time(self, tau):
@@ -226,7 +251,7 @@ class TestSnapshotConsistency:
         spec = replace(cfg.model,
                        init_seed=derive_seed(cfg.master_seed, _TAG_INIT, cfg.model.init_seed))
         params = init_params(spec)
-        applied = (params.flat - result.params.flat) / cfg.lr
+        applied = (params - result.params) / cfg.lr
         _, features, labels = sample_macrobatch(result.train, cfg.k, cfg.u, cfg.sampling,
                                                 derive_seed(cfg.master_seed, _TAG_STEP, 1))
         union_x = features.reshape(-1, features.shape[-1])
