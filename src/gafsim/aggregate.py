@@ -87,6 +87,11 @@ def average(grads: list[GradVec] | np.ndarray) -> GradVec:
     return acc / len(vecs)
 
 
+def draw_pivot(k: int, seed: int) -> int:
+    """The pivot index drawn uniformly from [0, k) by a generator seeded with seed."""
+    return int(np.random.default_rng(seed).integers(k))
+
+
 def gaf_aggregate(grads: list[GradVec] | np.ndarray, cfg: GafConfig) -> AggregationOutcome:
     """Filter micro-gradients by cosine agreement with the running sum.
 
@@ -96,7 +101,7 @@ def gaf_aggregate(grads: list[GradVec] | np.ndarray, cfg: GafConfig) -> Aggregat
     vecs = _validated(grads)
     k = len(vecs)
     if cfg.pivot is None:
-        pivot = int(np.random.default_rng(cfg.rng_seed).integers(k))
+        pivot = draw_pivot(k, cfg.rng_seed)
     else:
         if cfg.pivot >= k:
             raise ValueError(f"pivot {cfg.pivot} out of range for k={k}")

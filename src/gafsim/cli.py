@@ -21,9 +21,11 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import json
 import sys
 import typing
+from collections.abc import Sequence
 from dataclasses import MISSING, asdict, fields, replace
 from pathlib import Path
 
@@ -32,7 +34,8 @@ import numpy as np
 from .aggregate import GafConfig, gaf_aggregate
 from .data import DataConfig
 from .models import MLP1, SOFTMAX_LINEAR, ModelSpec, init_params, loss_and_grad
-from .sim import AGG_AVERAGING, AGG_GAF, RunConfig, run
+from . import sim
+from .sim import AGG_AVERAGING, AGG_GAF, RunConfig, group_key
 from .telemetry import summarize, write_atomic, write_records
 
 DEFAULT_TAU_GRID = [0.95, 0.97, 0.99, 1.01, 1.03, 1.05]
@@ -167,26 +170,33 @@ def run_name(cfg: RunConfig) -> str:
     )
 
 
-def _execute_one(cfg: RunConfig, out_root: Path) -> dict:
-    records = run(cfg)
-    rundir = out_root / run_name(cfg)
-    rundir.mkdir(parents=True, exist_ok=True)
-    write_records(records, rundir / "records.jsonl")
-    summary = summarize(records)
-    write_atomic(rundir / "summary.json", json.dumps(summary, indent=2) + "\n")
-    run_obj = asdict(cfg)
-    del run_obj["master_seed"]
-    dump = {"run": run_obj, "output_dir": str(out_root), "seeds": [cfg.master_seed]}
-    write_atomic(rundir / "config.json", json.dumps(dump, indent=2) + "\n")
-    print(f"{run_name(cfg)}: final_val_acc={summary['final_val_acc']} "
-          f"skip_fraction={summary['skip_fraction']:.3f}")
-    return summary
+def _execute_one(cfgs: Sequence[RunConfig], out_root: Path) -> list[dict]:
+    """Run one group of configs (see sim.run_detailed), write each one's run
+    directory, and return one summary per config."""
+    summaries = []
+    # looked up on the module at call time, so a wrapper put on
+    # gafsim.sim.run_detailed (a tracer, a test) sees every group
+    for cfg, result in zip(cfgs, sim.run_detailed(cfgs)):
+        records = result.records
+        rundir = out_root / run_name(cfg)
+        rundir.mkdir(parents=True, exist_ok=True)
+        write_records(records, rundir / "records.jsonl")
+        summary = summarize(records)
+        write_atomic(rundir / "summary.json", json.dumps(summary, indent=2) + "\n")
+        run_obj = asdict(cfg)
+        del run_obj["master_seed"]
+        dump = {"run": run_obj, "output_dir": str(out_root), "seeds": [cfg.master_seed]}
+        write_atomic(rundir / "config.json", json.dumps(dump, indent=2) + "\n")
+        print(f"{run_name(cfg)}: final_val_acc={summary['final_val_acc']} "
+              f"skip_fraction={summary['skip_fraction']:.3f}")
+        summaries.append(summary)
+    return summaries
 
 
 def cmd_run(exp: dict) -> int:
     out_root = Path(exp["output_dir"])
     for seed in exp["seeds"]:
-        _execute_one(build_run_config(exp, seed), out_root)
+        _execute_one([build_run_config(exp, seed)], out_root)
     return 0
 
 
@@ -227,31 +237,41 @@ def cmd_sweep(exp: dict) -> int:
     out_root = Path(exp["output_dir"])
     out_root.mkdir(parents=True, exist_ok=True)
     table = out_root / "sweep_summary.csv"
-    mode = "w"
-    baseline_cache: dict[RunConfig, dict] = {}
+    # the table's (cell, seed) row pairs in table order, and the run groups
+    # that make them: configs with equal group keys run in lockstep
+    pairs = []
+    groups: dict[tuple, dict[RunConfig, None]] = {}
     for value, cell in cells:
         for seed in exp["seeds"]:
             # averaging == admit-all threshold; one baseline serves every tau
             base = replace(cell, aggregator=AGG_AVERAGING, tau=2.0, master_seed=seed)
-            if base not in baseline_cache:
-                baseline_cache[base] = _execute_one(base, out_root)
-            base_summary = baseline_cache[base]
-            gaf_summary = _execute_one(replace(cell, aggregator=AGG_GAF, master_seed=seed),
-                                       out_root)
+            gaf = replace(cell, aggregator=AGG_GAF, master_seed=seed)
+            pairs.append((value, seed, base, gaf))
+            groups.setdefault(group_key(base), {}).update(dict.fromkeys((base, gaf)))
 
-            improvement = None
-            if gaf_summary["final_val_acc"] is not None and base_summary["final_val_acc"] is not None:
-                improvement = gaf_summary["final_val_acc"] - base_summary["final_val_acc"]
-            # append each finished (cell, seed) so a crash keeps its rows (cheaper
-            # than a rename per cell); csv writes None as an empty cell
-            with table.open(mode, encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
+    summaries: dict[RunConfig, dict] = {}
+    mode = "w"
+    for legs in groups.values():
+        summaries.update(zip(legs, _execute_one(list(legs), out_root)))
+        # append, in table order, each pair whose runs and all earlier pairs'
+        # runs have finished, so a crash keeps its rows (cheaper than a rename
+        # per group); csv writes None as an empty cell
+        ready = list(itertools.takewhile(lambda p: {p[2], p[3]} <= summaries.keys(), pairs))
+        del pairs[:len(ready)]
+        with table.open(mode, encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            for value, seed, base, gaf in ready:
+                base_summary, gaf_summary = summaries[base], summaries[gaf]
                 if mode == "w":
                     writer.writerow(["param", "value", "seed", "aggregator", *gaf_summary,
                                      "improvement"])
+                    mode = "a"
+                improvement = None
+                if (gaf_summary["final_val_acc"] is not None
+                        and base_summary["final_val_acc"] is not None):
+                    improvement = gaf_summary["final_val_acc"] - base_summary["final_val_acc"]
                 writer.writerow([axis, value, seed, AGG_AVERAGING, *base_summary.values(), None])
                 writer.writerow([axis, value, seed, AGG_GAF, *gaf_summary.values(), improvement])
-            mode = "a"
     print(f"sweep table written to {table}")
     return 0
 

@@ -6,7 +6,9 @@ randomness (dataset generation, label noise, train/val split, per-step
 sampling, pivot draws, initialization) derives from master_seed through a
 splitmix64 chain, and the k micro-gradients are evaluated in one stacked
 pass whose row i is bit-identical to worker i's gradient evaluated alone,
-so runs are bit-reproducible from master_seed alone.
+so runs are bit-reproducible from master_seed alone. Configs that share
+the data, seed and macrobatch shape run as one group in lockstep, drawing
+each macrobatch and pivot once for all of them (run_detailed).
 
 The validation split is carved from the generated dataset and always
 scored against clean labels, even when the training labels are noisy.
@@ -14,12 +16,13 @@ scored against clean labels, even when the training labels are noisy.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import data as data_mod
-from .aggregate import GafConfig, average, gaf_aggregate, running_scan_distances
+from .aggregate import GafConfig, average, draw_pivot, gaf_aggregate, running_scan_distances
 from .data import Dataset, DataConfig, make_dataset, sample_macrobatch, take
 from .models import ModelSpec, accuracy, init_params, loss_and_grad
 from .optim import OptimState, SchedState, init_optim, plateau_update, sgd_step, skip_step
@@ -37,6 +40,10 @@ _TAG_SPLIT = 3
 _TAG_INIT = 4
 _TAG_STEP = 5
 _TAG_PIVOT = 6
+
+# the RunConfig fields every leg of a run group shares: they fix the dataset,
+# the split, the init, every macrobatch and every pivot draw
+GROUP_FIELDS = ("model", "data", "k", "u", "sampling", "val_fraction", "master_seed", "steps")
 
 
 def _splitmix64(x: int) -> int:
@@ -108,8 +115,14 @@ class RunConfig:
             raise ValueError("eval_every must be >= 1")
         if self.pivot is not None and not 0 <= self.pivot < self.k:
             raise ValueError(f"pivot {self.pivot} out of range [0, {self.k}) for k={self.k}")
-        # the optimizer's and scheduler's own range checks, run here rather than at step 1
+        # the optimizer's and scheduler's range checks, run here rather than at step 1;
+        # SchedState calls lr_factor `factor`, so that one is checked here under its key
         OptimState(lr=self.lr, momentum=self.momentum, velocity=np.zeros(0))
+        if not 0.0 < self.lr_factor < 1.0:
+            raise ValueError("lr_factor must be in (0, 1)")
+        # a floor above the starting lr would make a plateau cut raise it
+        if not 0.0 <= self.min_lr <= self.lr:
+            raise ValueError(f"min_lr must be in [0, lr], got {self.min_lr:g} with lr {self.lr:g}")
         self.initial_sched()
 
     def initial_sched(self) -> SchedState:
@@ -135,83 +148,112 @@ def _split(ds: Dataset, val_fraction: float, seed: int):
     return take(ds, perm[n_val:]), ds.features[perm[:n_val]], ds.clean_labels[perm[:n_val]]
 
 
-def run_detailed(cfg: RunConfig) -> RunResult:
-    """Run the full loop and return records plus final state."""
-    master = cfg.master_seed
+def group_key(cfg: RunConfig) -> tuple:
+    """The values of cfg's GROUP_FIELDS: configs with equal keys can run as one group."""
+    return tuple(getattr(cfg, name) for name in GROUP_FIELDS)
 
-    ds = make_dataset(cfg.data, seed=derive_seed(master, _TAG_DATA))
-    if cfg.data.noise_rate > 0:
-        ds = data_mod.inject_symmetric_noise(ds, cfg.data.noise_rate, derive_seed(master, _TAG_NOISE))
-    train, val_x, val_y = _split(ds, cfg.val_fraction, derive_seed(master, _TAG_SPLIT))
+
+def run_detailed(cfgs: Sequence[RunConfig]) -> list[RunResult]:
+    """Run a group of configs in lockstep; return one RunResult per config, in order.
+
+    The configs must agree on GROUP_FIELDS, so they share the dataset, split,
+    init, every macrobatch and every pivot draw: each is built or drawn once
+    per group (or per step). Each leg then takes its own gradients, scan,
+    optimizer step and evaluations, so its records and final state are
+    byte-equal to its config run alone. Equal configs share one leg and one
+    RunResult.
+    """
+    if isinstance(cfgs, RunConfig):
+        raise TypeError("run_detailed takes a sequence of RunConfigs; pass [cfg] for one run")
+    if not cfgs:
+        raise ValueError("run_detailed needs at least one RunConfig")
+    first = cfgs[0]
+    for cfg in cfgs[1:]:
+        for name in GROUP_FIELDS:
+            if getattr(cfg, name) != getattr(first, name):
+                raise ValueError(f"run group legs differ in {name}: "
+                                 f"{getattr(first, name)!r} != {getattr(cfg, name)!r}")
+    master, k = first.master_seed, first.k
+
+    ds = make_dataset(first.data, seed=derive_seed(master, _TAG_DATA))
+    if first.data.noise_rate > 0:
+        ds = data_mod.inject_symmetric_noise(ds, first.data.noise_rate,
+                                             derive_seed(master, _TAG_NOISE))
+    train, val_x, val_y = _split(ds, first.val_fraction, derive_seed(master, _TAG_SPLIT))
     # RunConfig matched generated data to the model; a CSV file's dims are known only now
-    if train.dim != cfg.model.input_dim or train.num_classes > cfg.model.num_classes:
+    if train.dim != first.model.input_dim or train.num_classes > first.model.num_classes:
         raise ValueError(
-            f"{cfg.data.path}: {train.dim} features and {train.num_classes} classes, run.model "
-            f"has input_dim {cfg.model.input_dim} and num_classes {cfg.model.num_classes}"
+            f"{first.data.path}: {train.dim} features and {train.num_classes} classes, run.model "
+            f"has input_dim {first.model.input_dim} and num_classes {first.model.num_classes}"
         )
 
-    spec = replace(cfg.model, init_seed=derive_seed(master, _TAG_INIT, cfg.model.init_seed))
-    params = init_params(spec)
-    opt = init_optim(cfg.lr, cfg.momentum, params.size)
-    sched = cfg.initial_sched()
+    spec = replace(first.model, init_seed=derive_seed(master, _TAG_INIT, first.model.init_seed))
+    init = init_params(spec)
+    # each leg's state is its RunResult, updated in place step by step
+    legs = {
+        cfg: RunResult([], init.copy(), init_optim(cfg.lr, cfg.momentum, init.size),
+                       cfg.initial_sched(), train)
+        for cfg in cfgs
+    }
+    draws_pivot = any(cfg.aggregator == AGG_GAF and cfg.pivot is None for cfg in legs)
 
-    records: list[StepRecord] = []
-    for t in range(1, cfg.steps + 1):
+    for t in range(1, first.steps + 1):
         _, features, labels = sample_macrobatch(
-            train, cfg.k, cfg.u, cfg.sampling, derive_seed(master, _TAG_STEP, t)
+            train, k, first.u, first.sampling, derive_seed(master, _TAG_STEP, t)
         )
-        try:
-            losses, grads = loss_and_grad(params, features, labels, spec, cfg.weight_decay)
-            # exact: sum starts at 0, and 0 + x == x as a loss is never -0.0
-            train_loss = sum(losses.tolist()) / cfg.k
+        drawn = draw_pivot(k, derive_seed(master, _TAG_PIVOT, t)) if draws_pivot else None
+        for cfg, leg in legs.items():
+            try:
+                losses, grads = loss_and_grad(leg.params, features, labels, spec, cfg.weight_decay)
+                # exact: sum starts at 0, and 0 + x == x as a loss is never -0.0
+                train_loss = sum(losses.tolist()) / k
 
-            if cfg.aggregator == AGG_GAF:
-                gcfg = GafConfig(
-                    tau=cfg.tau, pivot=cfg.pivot, rng_seed=derive_seed(master, _TAG_PIVOT, t)
+                if cfg.aggregator == AGG_GAF:
+                    pivot = drawn if cfg.pivot is None else cfg.pivot
+                    outcome = gaf_aggregate(grads, GafConfig(tau=cfg.tau, pivot=pivot))
+                    distances, accepted, gradient = (
+                        outcome.pairwise_distances, outcome.accepted_count, outcome.gradient
+                    )
+                else:
+                    distances, accepted, gradient = running_scan_distances(grads), k, average(grads)
+                skipped = gradient is None
+                if skipped:
+                    leg.opt = skip_step(leg.opt)
+                else:
+                    leg.params, leg.opt = sgd_step(leg.params, gradient, leg.opt)
+            except ValueError as exc:
+                where = "" if len(legs) == 1 else f" in group leg {list(legs).index(cfg)}"
+                raise RuntimeError(f"training diverged at step {t}{where}: {exc}") from exc
+
+            scheduled = not skipped and leg.opt.step_count % cfg.eval_every == 0
+            train_acc = val_acc = None
+            # the final step is always scored for summaries, but only a scheduled
+            # evaluation feeds the plateau scheduler
+            if scheduled or t == first.steps:
+                train_acc = accuracy(leg.params, train.features, train.labels, spec)
+                val_acc = accuracy(leg.params, val_x, val_y, spec)
+            if scheduled:
+                leg.sched, leg.opt = plateau_update(leg.sched, leg.opt, val_acc)
+
+            leg.records.append(
+                StepRecord(
+                    step=t,
+                    train_loss=train_loss,
+                    cos_distances=distances,
+                    accepted_count=accepted,
+                    skipped=skipped,
+                    lr=leg.opt.lr,
+                    train_acc=train_acc,
+                    val_acc=val_acc,
                 )
-                outcome = gaf_aggregate(grads, gcfg)
-                distances, accepted, gradient = (
-                    outcome.pairwise_distances, outcome.accepted_count, outcome.gradient
-                )
-            else:
-                distances, accepted, gradient = running_scan_distances(grads), cfg.k, average(grads)
-            skipped = gradient is None
-            if skipped:
-                opt = skip_step(opt)
-            else:
-                params, opt = sgd_step(params, gradient, opt)
-        except ValueError as exc:
-            raise RuntimeError(f"training diverged at step {t}: {exc}") from exc
-
-        scheduled = not skipped and opt.step_count % cfg.eval_every == 0
-        train_acc = val_acc = None
-        # the final step is always scored for summaries, but only a scheduled
-        # evaluation feeds the plateau scheduler
-        if scheduled or t == cfg.steps:
-            train_acc = accuracy(params, train.features, train.labels, spec)
-            val_acc = accuracy(params, val_x, val_y, spec)
-        if scheduled:
-            sched, opt = plateau_update(sched, opt, val_acc)
-
-        records.append(
-            StepRecord(
-                step=t,
-                train_loss=train_loss,
-                cos_distances=distances,
-                accepted_count=accepted,
-                skipped=skipped,
-                lr=opt.lr,
-                train_acc=train_acc,
-                val_acc=val_acc,
             )
-        )
 
-    return RunResult(records, params, opt, sched, train)
+    return [legs[cfg] for cfg in cfgs]
 
 
 def run(cfg: RunConfig) -> list[StepRecord]:
     """Run the training loop, returning one StepRecord per step."""
-    return run_detailed(cfg).records
+    return run_detailed([cfg])[0].records
 
 
 def measure_pairwise_distance_trend(cfg: RunConfig, u_values: list[int]) -> dict[int, float]:

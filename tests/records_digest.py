@@ -37,7 +37,7 @@ from gafsim.telemetry import write_records
 
 def run_digest(cfg: RunConfig) -> str:
     """sha256 of the run's records files plus its final parameters."""
-    result = run_detailed(cfg)
+    result = run_detailed([cfg])[0]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "records.jsonl"
         write_records(result.records, path)

@@ -6,7 +6,6 @@ scale; the constants below are frozen on purpose so regressions are loud.
 Seed gates are spelled out per criterion.
 """
 
-import functools
 import json
 import os
 import subprocess
@@ -88,13 +87,20 @@ def cluster_cfg(noise_rate: float, aggregator: str, tau: float, seed: int, **ove
                      master_seed=seed, **kw)
 
 
-# criterion 7's u = 10 legs are configs criterion 5 also runs; a RunConfig is
-# frozen and hashable, so equal configs share one run
-@functools.cache
-def final_val(cfg) -> float:
-    records = run(cfg)
-    vals = [r.val_acc for r in records if r.val_acc is not None]
-    return vals[-1]
+# final validation accuracy per config; criterion 7's u = 10 legs are configs
+# criterion 5 also runs, and a RunConfig is frozen and hashable, so they are
+# read from here instead of run again
+FINAL_VAL: dict[RunConfig, float] = {}
+
+
+def final_vals(cfgs) -> list[float]:
+    """Each config's final validation accuracy. The configs not run yet go as
+    one run group, so they must share a seed, data, k, u and step count."""
+    todo = [cfg for cfg in dict.fromkeys(cfgs) if cfg not in FINAL_VAL]
+    if todo:
+        for cfg, result in zip(todo, run_detailed(todo)):
+            FINAL_VAL[cfg] = [r.val_acc for r in result.records if r.val_acc is not None][-1]
+    return [FINAL_VAL[cfg] for cfg in cfgs]
 
 
 class TestCriterion1AggregatorOracle:
@@ -192,7 +198,7 @@ class TestCriterion3DeterminismAndSkips:
         # tau=0 rejects every candidate: the whole run is forced skips and
         # params, velocity, lr, and scheduler state stay bitwise at init
         skip_cfg = replace(cfg, tau=0.0, steps=40)
-        result = run_detailed(skip_cfg)
+        result = run_detailed([skip_cfg])[0]
         spec0 = replace(skip_cfg.model,
                         init_seed=derive_seed(skip_cfg.master_seed, _TAG_INIT,
                                               skip_cfg.model.init_seed))
@@ -254,14 +260,16 @@ class TestCriterion5NoisyLabelImprovement:
         start = time.monotonic()
 
         def improvement(noise_rate):
-            base_mean = float(np.mean(
-                [final_val(cluster_cfg(noise_rate, "avg", 2.0, seed)) for seed in SEEDS]
-            ))
+            # per seed, the baseline and every tau run as one group of 7 legs
+            per_seed = [
+                final_vals([cluster_cfg(noise_rate, "avg", 2.0, seed)]
+                           + [cluster_cfg(noise_rate, "gaf", tau, seed) for tau in TAU_GRID])
+                for seed in SEEDS
+            ]
+            base_mean = float(np.mean([vals[0] for vals in per_seed]))
             tau_means = {}
-            for tau in TAU_GRID:
-                tau_means[tau] = float(np.mean(
-                    [final_val(cluster_cfg(noise_rate, "gaf", tau, seed)) for seed in SEEDS]
-                ))
+            for i, tau in enumerate(TAU_GRID, start=1):
+                tau_means[tau] = float(np.mean([vals[i] for vals in per_seed]))
             best_tau, best_mean = max(tau_means.items(), key=lambda kv: kv[1])
             return best_mean - base_mean, best_tau, base_mean
 
@@ -310,8 +318,8 @@ class TestCriterion7BenefitShrinksWithBatchSize:
         gains = {10: [], 500: []}
         for seed in SEEDS:
             for u, steps in ((10, 10_000), (500, 200)):
-                base = final_val(cluster_cfg(0.4, "avg", 2.0, seed, u=u, steps=steps))
-                filt = final_val(cluster_cfg(0.4, "gaf", 0.97, seed, u=u, steps=steps))
+                base, filt = final_vals([cluster_cfg(0.4, "avg", 2.0, seed, u=u, steps=steps),
+                                         cluster_cfg(0.4, "gaf", 0.97, seed, u=u, steps=steps)])
                 gains[u].append(filt - base)
         mean_small = float(np.mean(gains[10]))
         mean_large = float(np.mean(gains[500]))

@@ -4,6 +4,7 @@ import pytest
 from gafsim.aggregate import (
     GafConfig,
     average,
+    draw_pivot,
     gaf_aggregate,
     running_scan_distances,
 )
@@ -90,6 +91,12 @@ class TestGafAggregate:
         assert first.accepted_mask == second.accepted_mask
         pivots = {gaf_aggregate(grads, GafConfig(tau=1.0, rng_seed=s)).pivot for s in range(60)}
         assert pivots == {0, 1, 2, 3}
+
+    def test_drawn_pivot_is_draw_pivot(self):
+        # the training loop draws once per step with draw_pivot and passes the index
+        grads = [v(1, 0), v(0.9, 0.1), v(0, 1), v(1, 1)]
+        for s in range(20):
+            assert gaf_aggregate(grads, GafConfig(tau=1.0, rng_seed=s)).pivot == draw_pivot(4, s)
 
     def test_pivot_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from gafsim import cli
+from gafsim import cli, sim
 from gafsim.cli import load_experiment, main
 from gafsim.data import DataConfig
 from gafsim.models import ModelSpec
@@ -218,16 +218,15 @@ class TestSweepCommand:
         obj["sweep"] = {"tau_grid": [0.5, 1]}
         obj["seeds"] = [0, 1]
         path.write_text(json.dumps(obj))
-        calls = []
 
-        def run_then_fail(cfg):
-            calls.append(cfg)
-            if len(calls) == 3:  # the first seed's avg and gaf runs finish
+        def run_then_fail(cfgs):
+            # seed 0's group (both cells) finishes, seed 1's crashes
+            if cfgs[0].master_seed == 1:
                 raise RuntimeError("simulated crash")
-            return real_run(cfg)
+            return real_run(cfgs)
 
-        real_run = cli.run
-        monkeypatch.setattr(cli, "run", run_then_fail)
+        real_run = sim.run_detailed
+        monkeypatch.setattr(sim, "run_detailed", run_then_fail)
         assert main(["sweep", "--config", str(path)]) == 1
         with (tmp_path / "out" / "sweep_summary.csv").open() as fh:
             rows = list(csv.DictReader(fh))
@@ -420,9 +419,10 @@ class TestConfigErrors:
     @pytest.mark.parametrize("flags,message", [
         (["--lr", "-1"], "run: lr must be positive"),
         (["--momentum", "1.0"], "run: momentum must be in [0, 1)"),
-        (["--lr-factor", "1.5"], "run: factor must be in (0, 1)"),
+        (["--lr-factor", "1.5"], "run: lr_factor must be in (0, 1)"),
         (["--patience", "-1"], "run: patience must be >= 0"),
-    ], ids=["lr", "momentum", "lr-factor", "patience"])
+        (["--min-lr", "1"], "run: min_lr must be in [0, lr], got 1 with lr"),
+    ], ids=["lr", "momentum", "lr-factor", "patience", "min-lr"])
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_optimizer_setting_rejected_before_any_run(self, tmp_path, capsys, flags, message,
                                                        command):

@@ -6,6 +6,7 @@ from gafsim.models import MLP1, SOFTMAX_LINEAR, ModelSpec, init_params, loss_and
 from gafsim.sim import (
     _TAG_INIT,
     _TAG_STEP,
+    GROUP_FIELDS,
     RunConfig,
     derive_seed,
     measure_pairwise_distance_trend,
@@ -14,7 +15,7 @@ from gafsim.sim import (
 )
 from gafsim.telemetry import write_records
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from conftest import N_PROPERTY_CASES
 from records_digest import run_digest
@@ -131,10 +132,16 @@ class TestStepAccounting:
         ("lr_factor", 1.5, r"factor must be in \(0, 1\)"),
         ("lr_factor", 0.0, r"factor must be in \(0, 1\)"),
         ("patience", -1, "patience must be >= 0"),
+        ("min_lr", -1e-6, r"min_lr must be in \[0, lr\], got -1e-06 with lr 0.01"),
+        ("min_lr", 0.02, r"min_lr must be in \[0, lr\], got 0.02 with lr 0.01"),
     ])
     def test_optimizer_settings_rejected_at_construction(self, key, value, message):
         with pytest.raises(ValueError, match=message):
             base_cfg(**{key: value})
+
+    @pytest.mark.parametrize("min_lr", [0.0, 0.01])
+    def test_min_lr_may_be_zero_or_the_starting_lr(self, min_lr):
+        assert base_cfg(lr=0.01, min_lr=min_lr).min_lr == min_lr
 
     @pytest.mark.parametrize("kind", ["gaussian", "white_noise"])
     def test_data_model_input_dim_conflict_rejected(self, kind):
@@ -170,7 +177,7 @@ class TestStepAccounting:
                                 sampling="uniform"))) == 3
 
     def test_skips_plus_applied_cover_run(self):
-        result = run_detailed(base_cfg(aggregator="gaf", tau=0.5, steps=80))
+        result = run_detailed([base_cfg(aggregator="gaf", tau=0.5, steps=80)])[0]
         skips = sum(r.skipped for r in result.records)
         assert result.opt.skip_count == skips
         assert result.opt.step_count + skips == 80
@@ -185,7 +192,7 @@ class TestStepAccounting:
 class TestSkipSemantics:
     def test_always_skip_run_touches_nothing(self):
         cfg = base_cfg(aggregator="gaf", tau=0.0, steps=50)
-        result = run_detailed(cfg)
+        result = run_detailed([cfg])[0]
         assert all(r.skipped for r in result.records)
         spec = replace(cfg.model,
                        init_seed=derive_seed(cfg.master_seed, _TAG_INIT, cfg.model.init_seed))
@@ -209,7 +216,7 @@ class TestSingleWorker:
     # gradient, while the filter has no agreeing pair and skips every step
     def test_averaging_steps_every_time(self):
         cfg = base_cfg(k=1, steps=20)
-        result = run_detailed(cfg)
+        result = run_detailed([cfg])[0]
         assert not any(r.skipped for r in result.records)
         assert all(r.accepted_count == 1 for r in result.records)
         assert all(r.cos_distances == [] for r in result.records)
@@ -220,7 +227,7 @@ class TestSingleWorker:
 
     @pytest.mark.parametrize("tau", [0.0, 2.0])
     def test_filter_skips_every_time(self, tau):
-        result = run_detailed(base_cfg(k=1, steps=20, aggregator="gaf", tau=tau))
+        result = run_detailed([base_cfg(k=1, steps=20, aggregator="gaf", tau=tau)])[0]
         assert all(r.skipped for r in result.records)
         assert all(r.accepted_count == 1 for r in result.records)
         assert result.opt.skip_count == 20 and result.opt.step_count == 0
@@ -229,7 +236,7 @@ class TestSingleWorker:
 class TestSnapshotConsistency:
     def test_first_step_reproducible_serially(self):
         cfg = base_cfg(k=3, u=5, aggregator="gaf", tau=1.0)
-        result = run_detailed(cfg)
+        result = run_detailed([cfg])[0]
         spec = replace(cfg.model,
                        init_seed=derive_seed(cfg.master_seed, _TAG_INIT, cfg.model.init_seed))
         params = init_params(spec)
@@ -247,7 +254,7 @@ class TestSnapshotConsistency:
 
     def test_averaging_step_equals_union_gradient(self):
         cfg = base_cfg(steps=1, momentum=0.0, lr=0.5)
-        result = run_detailed(cfg)
+        result = run_detailed([cfg])[0]
         spec = replace(cfg.model,
                        init_seed=derive_seed(cfg.master_seed, _TAG_INIT, cfg.model.init_seed))
         params = init_params(spec)
@@ -275,7 +282,7 @@ class TestEvaluation:
         model = ModelSpec(kind=SOFTMAX_LINEAR, input_dim=8, num_classes=4, init_sigma=0.1)
         cfg = RunConfig(model=model, data=data, k=2, u=4, steps=400, aggregator="avg",
                         lr=0.1, eval_every=100, master_seed=7)
-        result = run_detailed(cfg)
+        result = run_detailed([cfg])[0]
         final = result.records[-1]
         assert final.val_acc > 0.85
         assert final.train_acc < 0.75
@@ -297,7 +304,7 @@ class TestProperties:
             cfg = base_cfg(steps=steps, aggregator="gaf",
                            tau=float(rng.uniform(0.0, 1.5)),
                            master_seed=int(rng.integers(1 << 31)))
-            result = run_detailed(cfg)
+            result = run_detailed([cfg])[0]
             assert result.opt.step_count + result.opt.skip_count == steps
             assert result.opt.skip_count == sum(r.skipped for r in result.records)
 
@@ -317,6 +324,70 @@ NOISE_SWEEP_CELL = RunConfig(
     k=2, u=10, steps=100, aggregator="gaf", tau=0.97, sampling="uniform", lr=0.08,
     momentum=0.95, eval_every=100, val_fraction=0.75,
 )
+
+
+def state_bytes(state) -> bytes:
+    """An OptimState's or SchedState's fields as float64 bytes, in field order."""
+    return b"".join(np.asarray(getattr(state, f.name), dtype=np.float64).tobytes()
+                    for f in fields(state))
+
+
+class TestRunGroups:
+    """Legs of one run group share the data, every macrobatch and every pivot
+    draw, and each leg ends byte-equal to its config run alone."""
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_each_leg_matches_its_run_alone(self, k, tmp_path):
+        cfg = base_cfg(k=k, steps=45, eval_every=5, patience=1)
+        legs = [
+            replace(cfg, aggregator="gaf", tau=0.9),
+            replace(cfg, aggregator="avg", tau=2.0),
+            replace(cfg, aggregator="gaf", tau=1.0, pivot=k - 1),
+            replace(cfg, aggregator="gaf", tau=1.1, lr=0.05, eval_every=3, patience=0),
+            replace(cfg, aggregator="avg", lr=0.2, momentum=0.5, weight_decay=0.01,
+                    eval_every=7, patience=2, lr_factor=0.5),
+            replace(cfg, aggregator="gaf", tau=0.9),  # a duplicate of the first leg
+        ]
+        results = run_detailed(legs)
+        assert len(results) == len(legs) and results[5] is results[0]
+        for i, (leg, got) in enumerate(zip(legs, results)):
+            alone = run_detailed([leg])[0]
+            assert got.records == alone.records
+            assert (records_bytes(got.records, tmp_path, f"group{i}")
+                    == records_bytes(alone.records, tmp_path, f"alone{i}"))
+            assert got.params.tobytes() == alone.params.tobytes()
+            assert state_bytes(got.opt) == state_bytes(alone.opt)
+            assert state_bytes(got.sched) == state_bytes(alone.sched)
+        # the legs really differ: the group is not one run copied six times
+        assert len({r.params.tobytes() for r in results}) == (5 if k > 1 else 3)
+
+    def test_legs_exercise_skips_and_lr_cuts(self):
+        cfg = base_cfg(k=2, steps=45, eval_every=3, patience=0, aggregator="gaf", tau=0.9)
+        (result,) = run_detailed([cfg])
+        assert 0 < result.opt.skip_count < 45 and result.opt.lr < cfg.lr
+
+    @pytest.mark.parametrize("name,value", [
+        ("model", replace(MODEL, init_seed=1)),
+        ("data", replace(DATA, noise_rate=0.0)),
+        ("k", 3),
+        ("u", 10),
+        ("sampling", "uniform"),
+        ("val_fraction", 0.3),
+        ("master_seed", 5),
+        ("steps", 7),
+    ])
+    def test_legs_that_differ_in_a_shared_field_are_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"run group legs differ in {name}: "):
+            run_detailed([base_cfg(), base_cfg(aggregator="gaf"), base_cfg(**{name: value})])
+
+    def test_shared_fields_are_config_fields(self):
+        assert set(GROUP_FIELDS) <= {f.name for f in fields(RunConfig)}
+
+    def test_a_lone_config_or_no_config_is_rejected(self):
+        with pytest.raises(TypeError, match=r"pass \[cfg\]"):
+            run_detailed(base_cfg())
+        with pytest.raises(ValueError, match="at least one"):
+            run_detailed([])
 
 
 class TestGoldenDigests:
