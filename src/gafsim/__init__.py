@@ -8,7 +8,6 @@ agreeing pair is skipped without touching optimizer or scheduler state.
 
 from .aggregate import (
     AggregationOutcome,
-    GafConfig,
     average,
     gaf_aggregate,
     running_scan_distances,
@@ -24,7 +23,7 @@ from .data import (
     sample_macrobatch,
     take,
 )
-from .gradvec import GradVec, cosine_distance, dot, l2_norm
+from .gradvec import cosine_distance, dot, l2_norm
 from .models import (
     ModelSpec,
     accuracy,
@@ -52,7 +51,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AggregationOutcome",
-    "GafConfig",
     "average",
     "gaf_aggregate",
     "running_scan_distances",
@@ -65,7 +63,6 @@ __all__ = [
     "make_dataset",
     "sample_macrobatch",
     "take",
-    "GradVec",
     "cosine_distance",
     "dot",
     "l2_norm",

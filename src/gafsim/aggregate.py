@@ -5,7 +5,8 @@ remaining candidates in ascending index order. Each candidate is compared
 against the *running sum* of everything accepted so far; it is admitted
 when its cosine distance to that sum is <= tau. If nothing beyond the
 pivot is admitted the whole macrobatch is skipped. The scan is therefore
-order dependent: the outcome can move with the pivot choice.
+order dependent: the outcome can move with the pivot choice. The caller
+picks the pivot; the training loop draws one per step with draw_pivot.
 
 With k >= 2 micro-gradients, a threshold of 2 admits every candidate,
 which makes filtering equivalent to plain averaging. A lone gradient
@@ -14,31 +15,11 @@ which makes filtering equivalent to plain averaging. A lone gradient
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .gradvec import GradVec, cosine_distance
-
-
-@dataclass(frozen=True)
-class GafConfig:
-    """Agreement-filter settings.
-
-    tau: cosine-distance acceptance threshold in [0, 2].
-    pivot: index of the micro-gradient that seeds the running sum, or None
-        to draw it uniformly from a generator seeded with rng_seed.
-    """
-
-    tau: float
-    pivot: int | None = None
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 <= self.tau <= 2.0:
-            raise ValueError(f"tau must be in [0, 2], got {self.tau}")
-        if self.pivot is not None and self.pivot < 0:
-            raise ValueError("pivot index must be non-negative")
+from .gradvec import cosine_distance
 
 
 @dataclass
@@ -51,15 +32,14 @@ class AggregationOutcome:
     evaluation order, whether or not it was accepted.
     """
 
-    gradient: GradVec | None
+    gradient: np.ndarray | None
     accepted_count: int
     accepted_mask: list[bool]
     pairwise_distances: list[float]
     skipped: bool
-    pivot: int = field(default=0)
 
 
-def _validated(grads: list[GradVec] | np.ndarray) -> np.ndarray:
+def _validated(grads: list[np.ndarray] | np.ndarray) -> np.ndarray:
     """The micro-gradients as one finite (k, P) float64 block.
 
     A list of equal-length vectors becomes the block np.stack would build;
@@ -78,7 +58,7 @@ def _validated(grads: list[GradVec] | np.ndarray) -> np.ndarray:
     return block
 
 
-def average(grads: list[GradVec] | np.ndarray) -> GradVec:
+def average(grads: list[np.ndarray] | np.ndarray) -> np.ndarray:
     """Elementwise mean: sum in index order, then divide by the count."""
     vecs = _validated(grads)
     acc = vecs[0].copy()
@@ -92,20 +72,19 @@ def draw_pivot(k: int, seed: int) -> int:
     return int(np.random.default_rng(seed).integers(k))
 
 
-def gaf_aggregate(grads: list[GradVec] | np.ndarray, cfg: GafConfig) -> AggregationOutcome:
+def gaf_aggregate(grads: list[np.ndarray] | np.ndarray, tau: float, pivot: int) -> AggregationOutcome:
     """Filter micro-gradients by cosine agreement with the running sum.
 
-    Deterministic given the gradient order and cfg (the pivot draw comes
-    from a generator owned by cfg.rng_seed, never global state).
+    tau is the cosine-distance acceptance threshold in [0, 2]; pivot is the
+    index in [0, k) of the micro-gradient that seeds the running sum.
+    Deterministic given the gradient order, tau and pivot.
     """
+    if not 0.0 <= tau <= 2.0:
+        raise ValueError(f"tau must be in [0, 2], got {tau}")
     vecs = _validated(grads)
     k = len(vecs)
-    if cfg.pivot is None:
-        pivot = draw_pivot(k, cfg.rng_seed)
-    else:
-        if cfg.pivot >= k:
-            raise ValueError(f"pivot {cfg.pivot} out of range for k={k}")
-        pivot = cfg.pivot
+    if not 0 <= pivot < k:
+        raise ValueError(f"pivot {pivot} out of range for k={k}")
 
     running = vecs[pivot].copy()
     count = 1
@@ -117,7 +96,7 @@ def gaf_aggregate(grads: list[GradVec] | np.ndarray, cfg: GafConfig) -> Aggregat
             continue
         d = cosine_distance(vecs[i], running)
         distances.append(d)
-        if d <= cfg.tau:
+        if d <= tau:
             running += vecs[i]
             count += 1
             mask[i] = True
@@ -130,15 +109,14 @@ def gaf_aggregate(grads: list[GradVec] | np.ndarray, cfg: GafConfig) -> Aggregat
         accepted_mask=mask,
         pairwise_distances=distances,
         skipped=skipped,
-        pivot=pivot,
     )
 
 
-def running_scan_distances(grads: list[GradVec] | np.ndarray) -> list[float]:
+def running_scan_distances(grads: list[np.ndarray] | np.ndarray) -> list[float]:
     """Cosine distances of each gradient against the index-order running sum.
 
     The agreement scan with pivot 0 and the all-admitting threshold 2 (every
     distance lies in [0, 2]). Used to log pairwise disagreement for
     plain-averaging runs.
     """
-    return gaf_aggregate(grads, GafConfig(tau=2.0, pivot=0)).pairwise_distances
+    return gaf_aggregate(grads, 2.0, 0).pairwise_distances

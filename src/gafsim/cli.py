@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .aggregate import GafConfig, gaf_aggregate
+from .aggregate import gaf_aggregate
 from .data import DataConfig
 from .models import MLP1, SOFTMAX_LINEAR, ModelSpec, init_params, loss_and_grad
 from . import sim
@@ -332,7 +332,7 @@ def cmd_check() -> int:
         grads = [rng.normal(size=dim) for _ in range(k)]
         tau = float(rng.uniform(0, 2))
         pivot = int(rng.integers(k))
-        out = gaf_aggregate(grads, GafConfig(tau=tau, pivot=pivot))
+        out = gaf_aggregate(grads, tau, pivot)
         ref_grad, ref_c = _naive_filter_reference(grads, tau, pivot)
         same = out.accepted_count == ref_c and (
             (out.gradient is None and ref_grad is None)

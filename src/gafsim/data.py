@@ -78,6 +78,14 @@ class DataConfig:
             raise ValueError("noise_rate must be in [0, 1]")
         if self.kind == CSV and not self.path:
             raise ValueError("csv dataset needs a path")
+        # the generators' own checks, run here so a bad key fails before the run
+        if self.kind == GAUSSIAN:
+            if not self.sigma > 0:
+                raise ValueError(f"sigma must be positive, got {self.sigma:g}")
+            if self.n_per_class < 1:
+                raise ValueError(f"n_per_class must be >= 1, got {self.n_per_class}")
+        if self.kind == WHITE_NOISE and self.n < 1:
+            raise ValueError(f"n must be >= 1, got {self.n}")
 
 
 def make_dataset(cfg: DataConfig, seed: int) -> Dataset:

@@ -15,15 +15,13 @@ import numpy as np
 # distance to anything is the maximal 2.0, so it can never win agreement.
 ZERO_NORM_EPS = 1e-30
 
-GradVec = np.ndarray
 
-
-def _check_dims(a: GradVec, b: GradVec) -> None:
+def _check_dims(a: np.ndarray, b: np.ndarray) -> None:
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
 
 
-def dot(a: GradVec, b: GradVec) -> float:
+def dot(a: np.ndarray, b: np.ndarray) -> float:
     """Inner product with strict left-to-right summation.
 
     np.add.accumulate evaluates the running sum element by element in index
@@ -40,12 +38,12 @@ def dot(a: GradVec, b: GradVec) -> float:
     return total
 
 
-def l2_norm(a: GradVec) -> float:
+def l2_norm(a: np.ndarray) -> float:
     """Euclidean norm, sqrt(dot(a, a))."""
     return float(np.sqrt(dot(a, a)))
 
 
-def cosine_distance(a: GradVec, b: GradVec) -> float:
+def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine distance in [0, 2]: 0 aligned, 1 orthogonal, 2 opposed.
 
     If either vector has norm below ZERO_NORM_EPS the distance is defined

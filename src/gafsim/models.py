@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gradvec import GradVec
-
 SOFTMAX_LINEAR = "softmax_linear"
 MLP1 = "mlp1"
 
@@ -122,7 +120,7 @@ def loss_and_grad(
     labels: np.ndarray,
     spec: ModelSpec,
     weight_decay: float = 0.0,
-) -> tuple[float, GradVec] | tuple[np.ndarray, np.ndarray]:
+) -> tuple[float, np.ndarray] | tuple[np.ndarray, np.ndarray]:
     """Mean cross-entropy plus (weight_decay/2) * ||weights||^2, with its gradient.
 
     The decay term covers weight matrices only, never biases, and is folded

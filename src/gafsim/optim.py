@@ -14,8 +14,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gradvec import GradVec
-
 
 @dataclass(frozen=True)
 class OptimState:
@@ -37,15 +35,15 @@ class SchedState:
     """Reduce-on-plateau state for a higher-is-better metric."""
 
     patience: int
-    factor: float
+    lr_factor: float
     min_lr: float = 1e-6
     min_delta: float = 1e-4
     best_metric: float = -math.inf
     bad_epochs: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.factor < 1.0:
-            raise ValueError("factor must be in (0, 1)")
+        if not 0.0 < self.lr_factor < 1.0:
+            raise ValueError("lr_factor must be in (0, 1)")
         if self.patience < 0:
             raise ValueError("patience must be >= 0")
 
@@ -54,7 +52,7 @@ def init_optim(lr: float, momentum: float, dim: int) -> OptimState:
     return OptimState(lr=lr, momentum=momentum, velocity=np.zeros(dim))
 
 
-def sgd_step(params: np.ndarray, grad: GradVec, opt: OptimState) -> tuple[np.ndarray, OptimState]:
+def sgd_step(params: np.ndarray, grad: np.ndarray, opt: OptimState) -> tuple[np.ndarray, OptimState]:
     """velocity <- momentum * velocity + grad; params <- params - lr * velocity."""
     if grad.shape != params.shape:
         raise ValueError(f"gradient shape {grad.shape} does not match params {params.shape}")
@@ -73,7 +71,7 @@ def plateau_update(
     """Feed one validation metric; cut the lr after too many stale evals.
 
     Improvement means exceeding the best seen metric by more than min_delta.
-    Once bad_epochs exceeds patience the lr is multiplied by factor (floored
+    Once bad_epochs exceeds patience the lr is multiplied by lr_factor (floored
     at min_lr) and the stale counter resets.
     """
     if not math.isfinite(val_metric):
@@ -82,6 +80,6 @@ def plateau_update(
         return replace(sched, best_metric=val_metric, bad_epochs=0), opt
     bad = sched.bad_epochs + 1
     if bad > sched.patience:
-        new_lr = max(opt.lr * sched.factor, sched.min_lr)
+        new_lr = max(opt.lr * sched.lr_factor, sched.min_lr)
         return replace(sched, bad_epochs=0), replace(opt, lr=new_lr)
     return replace(sched, bad_epochs=bad), opt

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import data as data_mod
-from .aggregate import GafConfig, average, draw_pivot, gaf_aggregate, running_scan_distances
+from .aggregate import average, draw_pivot, gaf_aggregate, running_scan_distances
 from .data import Dataset, DataConfig, make_dataset, sample_macrobatch, take
 from .models import ModelSpec, accuracy, init_params, loss_and_grad
 from .optim import OptimState, SchedState, init_optim, plateau_update, sgd_step, skip_step
@@ -115,11 +115,8 @@ class RunConfig:
             raise ValueError("eval_every must be >= 1")
         if self.pivot is not None and not 0 <= self.pivot < self.k:
             raise ValueError(f"pivot {self.pivot} out of range [0, {self.k}) for k={self.k}")
-        # the optimizer's and scheduler's range checks, run here rather than at step 1;
-        # SchedState calls lr_factor `factor`, so that one is checked here under its key
+        # the optimizer's and scheduler's range checks, run here rather than at step 1
         OptimState(lr=self.lr, momentum=self.momentum, velocity=np.zeros(0))
-        if not 0.0 < self.lr_factor < 1.0:
-            raise ValueError("lr_factor must be in (0, 1)")
         # a floor above the starting lr would make a plateau cut raise it
         if not 0.0 <= self.min_lr <= self.lr:
             raise ValueError(f"min_lr must be in [0, lr], got {self.min_lr:g} with lr {self.lr:g}")
@@ -127,7 +124,7 @@ class RunConfig:
 
     def initial_sched(self) -> SchedState:
         return SchedState(
-            patience=self.patience, factor=self.lr_factor, min_lr=self.min_lr, min_delta=self.min_delta
+            patience=self.patience, lr_factor=self.lr_factor, min_lr=self.min_lr, min_delta=self.min_delta
         )
 
 
@@ -210,7 +207,7 @@ def run_detailed(cfgs: Sequence[RunConfig]) -> list[RunResult]:
 
                 if cfg.aggregator == AGG_GAF:
                     pivot = drawn if cfg.pivot is None else cfg.pivot
-                    outcome = gaf_aggregate(grads, GafConfig(tau=cfg.tau, pivot=pivot))
+                    outcome = gaf_aggregate(grads, cfg.tau, pivot)
                     distances, accepted, gradient = (
                         outcome.pairwise_distances, outcome.accepted_count, outcome.gradient
                     )

@@ -19,7 +19,6 @@ import pytest
 
 from gafsim import (
     DataConfig,
-    GafConfig,
     ModelSpec,
     RunConfig,
     average,
@@ -113,7 +112,7 @@ class TestCriterion1AggregatorOracle:
             grads = [rng.normal(size=dim) for _ in range(k)]
             tau = float(rng.uniform(0, 2))
             pivot = int(rng.integers(k))
-            out = gaf_aggregate(grads, GafConfig(tau=tau, pivot=pivot))
+            out = gaf_aggregate(grads, tau, pivot)
             ref_grad, ref_c, ref_mask, _, ref_skip = naive_filtered_aggregate(grads, tau, pivot)
             assert out.accepted_count == ref_c
             assert out.accepted_mask == ref_mask
@@ -123,7 +122,7 @@ class TestCriterion1AggregatorOracle:
             else:
                 assert np.array_equal(out.gradient, ref_grad)
 
-            admit_all = gaf_aggregate(grads, GafConfig(tau=2.0, pivot=pivot))
+            admit_all = gaf_aggregate(grads, 2.0, pivot)
             assert not admit_all.skipped
             assert admit_all.accepted_count == k
             assert np.allclose(admit_all.gradient, average(grads), atol=1e-12, rtol=1e-12)
@@ -227,13 +226,11 @@ class TestCriterion4WhiteNoise:
         for seed in SEEDS:
             base_cfg = RunConfig(model=WHITE_NOISE_MODEL, data=WHITE_NOISE_DATA,
                                  aggregator="avg", master_seed=seed, **WHITE_NOISE_RUN)
-            base = run(base_cfg)
+            gaf_cfg = replace(base_cfg, aggregator="gaf", tau=0.97)
+            base, filt = (result.records for result in run_detailed([base_cfg, gaf_cfg]))
             train_accs = [r.train_acc for r in base if r.train_acc is not None]
             val_accs = [r.val_acc for r in base if r.val_acc is not None]
             post = [d for r in base if r.step > 200 for d in r.cos_distances]
-
-            gaf_cfg = replace(base_cfg, aggregator="gaf", tau=0.97)
-            filt = run(gaf_cfg)
             skip_rate = float(np.mean([r.skipped for r in filt if r.step > 200]))
             filt_train = max(r.train_acc for r in filt if r.train_acc is not None)
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from gafsim.aggregate import (
-    GafConfig,
     average,
     draw_pivot,
     gaf_aggregate,
@@ -46,14 +45,14 @@ class TestAverage:
 
 class TestGafAggregate:
     def test_identical_gradients_accepted(self):
-        out = gaf_aggregate([v(1, 0), v(1, 0)], GafConfig(tau=0.97, pivot=0))
+        out = gaf_aggregate([v(1, 0), v(1, 0)], 0.97, 0)
         assert not out.skipped
         assert out.accepted_count == 2
         assert np.array_equal(out.gradient, v(1, 0))
         assert out.accepted_mask == [True, True]
 
     def test_orthogonal_pair_skips(self):
-        out = gaf_aggregate([v(1, 0), v(0, 1)], GafConfig(tau=0.97, pivot=0))
+        out = gaf_aggregate([v(1, 0), v(0, 1)], 0.97, 0)
         assert out.skipped
         assert out.accepted_count == 1
         assert out.gradient is None
@@ -63,7 +62,7 @@ class TestGafAggregate:
         # second gradient joins the sum, the opposing third is then rejected
         # against [2, 0.1]; values re-derived with the step-by-step oracle
         grads = [v(1, 0), v(1, 0.1), v(-1, 0)]
-        out = gaf_aggregate(grads, GafConfig(tau=0.97, pivot=0))
+        out = gaf_aggregate(grads, 0.97, 0)
         ref_grad, ref_c, ref_mask, ref_d, ref_skip = naive_filtered_aggregate(grads, 0.97, 0)
         assert out.accepted_count == ref_c == 2
         assert out.accepted_mask == ref_mask == [True, True, False]
@@ -77,43 +76,34 @@ class TestGafAggregate:
     def test_tau_two_equals_average(self, rng):
         for _ in range(50):
             grads = random_instance(rng, dim_max=64)
-            out = gaf_aggregate(grads, GafConfig(tau=2.0, pivot=int(rng.integers(len(grads)))))
+            out = gaf_aggregate(grads, 2.0, int(rng.integers(len(grads))))
             assert not out.skipped
             assert out.accepted_count == len(grads)
             assert np.allclose(out.gradient, average(grads), atol=1e-12, rtol=1e-12)
 
     def test_random_pivot_is_seeded(self):
-        grads = [v(1, 0), v(0.9, 0.1), v(0, 1), v(1, 1)]
-        cfg = GafConfig(tau=1.0, rng_seed=42)
-        first = gaf_aggregate(grads, cfg)
-        second = gaf_aggregate(grads, cfg)
-        assert first.pivot == second.pivot
-        assert first.accepted_mask == second.accepted_mask
-        pivots = {gaf_aggregate(grads, GafConfig(tau=1.0, rng_seed=s)).pivot for s in range(60)}
-        assert pivots == {0, 1, 2, 3}
+        # the training loop draws each step's pivot with draw_pivot and passes the index
+        assert [draw_pivot(4, s) for s in range(60)] == [draw_pivot(4, s) for s in range(60)]
+        assert {draw_pivot(4, s) for s in range(60)} == {0, 1, 2, 3}
 
-    def test_drawn_pivot_is_draw_pivot(self):
-        # the training loop draws once per step with draw_pivot and passes the index
-        grads = [v(1, 0), v(0.9, 0.1), v(0, 1), v(1, 1)]
-        for s in range(20):
-            assert gaf_aggregate(grads, GafConfig(tau=1.0, rng_seed=s)).pivot == draw_pivot(4, s)
-
-    def test_pivot_out_of_range(self):
+    @pytest.mark.parametrize("pivot", [-1, 3])
+    def test_pivot_out_of_range(self, pivot):
         with pytest.raises(ValueError, match="out of range"):
-            gaf_aggregate([v(1, 0)], GafConfig(tau=1.0, pivot=3))
+            gaf_aggregate([v(1, 0), v(0, 1), v(1, 1)], 1.0, pivot)
 
-    def test_invalid_tau(self):
-        with pytest.raises(ValueError, match="tau"):
-            GafConfig(tau=2.5)
+    @pytest.mark.parametrize("tau", [-0.1, 2.5, np.nan])
+    def test_invalid_tau(self, tau):
+        with pytest.raises(ValueError, match=r"tau must be in \[0, 2\]"):
+            gaf_aggregate([v(1, 0), v(0, 1)], tau, 0)
 
     def test_empty_errors(self):
         with pytest.raises(ValueError, match="no gradients"):
-            gaf_aggregate([], GafConfig(tau=1.0, pivot=0))
+            gaf_aggregate([], 1.0, 0)
 
 
 def all_pivots(grads, tau):
     """One aggregation per pivot choice, to probe the scan's order sensitivity."""
-    return [gaf_aggregate(grads, GafConfig(tau=tau, pivot=s)) for s in range(len(grads))]
+    return [gaf_aggregate(grads, tau, s) for s in range(len(grads))]
 
 
 class TestAllPivots:
@@ -144,7 +134,7 @@ class TestScanDistances:
     def test_matches_filter_with_admit_all(self):
         rng = np.random.default_rng(11)
         grads = [rng.normal(size=16) for _ in range(5)]
-        out = gaf_aggregate(grads, GafConfig(tau=2.0, pivot=0))
+        out = gaf_aggregate(grads, 2.0, 0)
         assert running_scan_distances(grads) == out.pairwise_distances
 
 
@@ -154,8 +144,7 @@ class TestGradientBlock:
     def test_block_equals_list_of_rows(self, rng):
         block = rng.normal(size=(4, 33))
         rows = list(block)
-        cfg = GafConfig(tau=1.0, rng_seed=3)
-        a, b = gaf_aggregate(block, cfg), gaf_aggregate(rows, cfg)
+        a, b = gaf_aggregate(block, 1.0, 3), gaf_aggregate(rows, 1.0, 3)
         assert a.gradient.tobytes() == b.gradient.tobytes()
         assert (a.accepted_mask, a.pairwise_distances) == (b.accepted_mask, b.pairwise_distances)
         assert average(block).tobytes() == average(rows).tobytes()
@@ -164,7 +153,7 @@ class TestGradientBlock:
     def test_block_is_not_modified(self, rng):
         block = rng.normal(size=(3, 8))
         before = block.copy()
-        gaf_aggregate(block, GafConfig(tau=2.0, pivot=1))
+        gaf_aggregate(block, 2.0, 1)
         average(block)
         assert np.array_equal(block, before)
 
@@ -175,7 +164,7 @@ class TestGradientBlock:
         block[2, 1] = bad
         grads = list(block) if as_list else block
         for call in (average, running_scan_distances,
-                     lambda g: gaf_aggregate(g, GafConfig(tau=1.0, pivot=0))):
+                     lambda g: gaf_aggregate(g, 1.0, 0)):
             with pytest.raises(ValueError, match="non-finite"):
                 call(grads)
 
@@ -192,7 +181,7 @@ class TestProperties:
         for _ in range(N_PROPERTY_CASES):
             grads = random_instance(rng, dim_max=128)
             pivot = int(rng.integers(len(grads)))
-            out = gaf_aggregate(grads, GafConfig(tau=2.0, pivot=pivot))
+            out = gaf_aggregate(grads, 2.0, pivot)
             assert not out.skipped
             assert out.accepted_count == len(grads)
             assert np.allclose(out.gradient, average(grads), atol=1e-12, rtol=1e-12)
@@ -204,18 +193,18 @@ class TestProperties:
             grads = random_instance(rng, dim_max=64, dim_min=2)
             pivot = int(rng.integers(len(grads)))
             tau = float(rng.uniform(0, 2))
-            c_tau = gaf_aggregate(grads, GafConfig(tau=tau, pivot=pivot)).accepted_count
-            c_all = gaf_aggregate(grads, GafConfig(tau=2.0, pivot=pivot)).accepted_count
+            c_tau = gaf_aggregate(grads, tau, pivot).accepted_count
+            c_all = gaf_aggregate(grads, 2.0, pivot).accepted_count
             assert c_tau <= c_all == len(grads)
-            out_zero = gaf_aggregate(grads, GafConfig(tau=0.0, pivot=pivot))
+            out_zero = gaf_aggregate(grads, 0.0, pivot)
             assert out_zero.accepted_count == 1 and out_zero.skipped
 
     def test_candidate_order_can_matter_and_k2_cannot(self):
         # concrete order-dependent instance: the mid vector pulls the
         # running sum close enough for the otherwise-rejected candidate
         pivot, near, far = v(1, 0), v(1, 1), v(0, 1)
-        a = gaf_aggregate([pivot, far, near], GafConfig(tau=0.97, pivot=0))
-        b = gaf_aggregate([pivot, near, far], GafConfig(tau=0.97, pivot=0))
+        a = gaf_aggregate([pivot, far, near], 0.97, 0)
+        b = gaf_aggregate([pivot, near, far], 0.97, 0)
         assert a.accepted_count == 2 and b.accepted_count == 3
         assert not np.array_equal(a.gradient, b.gradient)
 
@@ -225,8 +214,8 @@ class TestProperties:
         for _ in range(N_PROPERTY_CASES):
             x, y = rng.normal(size=8), rng.normal(size=8)
             tau = float(rng.uniform(0, 2))
-            out1 = gaf_aggregate([x, y], GafConfig(tau=tau, pivot=0))
-            out2 = gaf_aggregate([y, x], GafConfig(tau=tau, pivot=1))
+            out1 = gaf_aggregate([x, y], tau, 0)
+            out2 = gaf_aggregate([y, x], tau, 1)
             assert out1.accepted_count == out2.accepted_count
             assert out1.skipped == out2.skipped
             assert out1.pairwise_distances == out2.pairwise_distances
@@ -238,7 +227,7 @@ class TestProperties:
             grads = random_instance(rng, dim_max=64)
             tau = float(rng.uniform(0, 2))
             pivot = int(rng.integers(len(grads)))
-            out = gaf_aggregate(grads, GafConfig(tau=tau, pivot=pivot))
+            out = gaf_aggregate(grads, tau, pivot)
             ref_grad, ref_c, ref_mask, _, ref_skip = naive_filtered_aggregate(grads, tau, pivot)
             assert out.accepted_count == ref_c
             assert out.accepted_mask == ref_mask

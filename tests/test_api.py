@@ -28,3 +28,10 @@ def test_all_equals_the_imported_names():
     assert len(gafsim.__all__) == len(set(gafsim.__all__)), "duplicate __all__ entry"
     assert len(imported) == len(set(imported)), "name imported twice"
     assert set(gafsim.__all__) == set(imported)
+
+
+def test_readme_quick_tour_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library quick tour", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md: Library quick tour", "exec"), {})

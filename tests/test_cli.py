@@ -405,7 +405,11 @@ class TestConfigErrors:
         (("run", "steps"), 0, "run: steps must be >= 1"),
         (("run", "model", "kind"), "mlp1", "run.model: mlp1 requires hidden_dim >= 1"),
         (("run", "u"), 4, "run: stratified sampling needs u divisible by num_classes (4 % 3 != 0)"),
-    ], ids=["noise_rate", "steps", "hidden_dim", "u-classes"])
+        (("run", "data", "sigma"), 0, "run.data: sigma must be positive"),
+        (("run", "data", "n_per_class"), 0, "run.data: n_per_class must be >= 1"),
+        (("run", "data"), {"kind": "white_noise", "n": 0}, "run.data: n must be >= 1"),
+    ], ids=["noise_rate", "steps", "hidden_dim", "u-classes", "sigma", "n_per_class",
+            "white_noise-n"])
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_range_error_names_section(self, tmp_path, capsys, where, value, message, command):
         obj = self.base(tmp_path)

@@ -76,7 +76,7 @@ class TestPlateau:
     def test_improving_metric_keeps_lr(self):
         params, _ = fresh()
         opt = init_optim(lr=0.01, momentum=0.0, dim=params.size)
-        sched = SchedState(patience=3, factor=0.1)
+        sched = SchedState(patience=3, lr_factor=0.1)
         for metric in np.linspace(0.1, 0.9, 20):
             sched, opt = plateau_update(sched, opt, float(metric))
         assert opt.lr == 0.01
@@ -85,7 +85,7 @@ class TestPlateau:
         # best already established; patience+1 stale evals trigger one cut
         params, _ = fresh()
         opt = init_optim(lr=0.01, momentum=0.0, dim=params.size)
-        sched = SchedState(patience=4, factor=0.1, best_metric=0.5)
+        sched = SchedState(patience=4, lr_factor=0.1, best_metric=0.5)
         for _ in range(5):
             sched, opt = plateau_update(sched, opt, 0.5)
         assert opt.lr == pytest.approx(0.001)
@@ -96,7 +96,7 @@ class TestPlateau:
     def test_two_plateaus_reach_factor_squared(self):
         params, _ = fresh()
         opt = init_optim(lr=0.01, momentum=0.0, dim=params.size)
-        sched = SchedState(patience=2, factor=0.1, best_metric=0.5)
+        sched = SchedState(patience=2, lr_factor=0.1, best_metric=0.5)
         for _ in range(6):
             sched, opt = plateau_update(sched, opt, 0.5)
         assert opt.lr == pytest.approx(1e-4)
@@ -104,14 +104,14 @@ class TestPlateau:
     def test_min_lr_floor(self):
         params, _ = fresh()
         opt = init_optim(lr=1e-6, momentum=0.0, dim=params.size)
-        sched = SchedState(patience=0, factor=0.1, min_lr=1e-6, best_metric=1.0)
+        sched = SchedState(patience=0, lr_factor=0.1, min_lr=1e-6, best_metric=1.0)
         sched, opt = plateau_update(sched, opt, 0.0)
         assert opt.lr == 1e-6
 
     def test_rejects_nonfinite_metric(self):
         params, _ = fresh()
         opt = init_optim(lr=0.01, momentum=0.0, dim=params.size)
-        sched = SchedState(patience=1, factor=0.5)
+        sched = SchedState(patience=1, lr_factor=0.5)
         with pytest.raises(ValueError, match="finite"):
             plateau_update(sched, opt, float("nan"))
 
@@ -139,7 +139,7 @@ class TestProperties:
             opt = init_optim(lr=float(rng.uniform(1e-4, 0.5)), momentum=0.0,
                              dim=params.size)
             sched = SchedState(patience=int(rng.integers(0, 4)),
-                               factor=float(rng.uniform(0.05, 0.9)), min_lr=1e-6)
+                               lr_factor=float(rng.uniform(0.05, 0.9)), min_lr=1e-6)
             prev = opt.lr
             for _ in range(40):
                 sched, opt = plateau_update(sched, opt, float(rng.uniform(0, 1)))
