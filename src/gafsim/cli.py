@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import itertools
 import json
 import sys
 import typing
@@ -235,7 +234,6 @@ def _sweep_cells(exp: dict) -> tuple[str, list[tuple[object, RunConfig]]]:
 def cmd_sweep(exp: dict) -> int:
     axis, cells = _sweep_cells(exp)
     out_root = Path(exp["output_dir"])
-    out_root.mkdir(parents=True, exist_ok=True)
     table = out_root / "sweep_summary.csv"
     # the table's (cell, seed) row pairs in table order, and the run groups
     # that make them: configs with equal group keys run in lockstep
@@ -250,28 +248,23 @@ def cmd_sweep(exp: dict) -> int:
             groups.setdefault(group_key(base), {}).update(dict.fromkeys((base, gaf)))
 
     summaries: dict[RunConfig, dict] = {}
-    mode = "w"
-    for legs in groups.values():
-        summaries.update(zip(legs, _execute_one(list(legs), out_root)))
-        # append, in table order, each pair whose runs and all earlier pairs'
-        # runs have finished, so a crash keeps its rows (cheaper than a rename
-        # per group); csv writes None as an empty cell
-        ready = list(itertools.takewhile(lambda p: {p[2], p[3]} <= summaries.keys(), pairs))
-        del pairs[:len(ready)]
-        with table.open(mode, encoding="utf-8", newline="") as fh:
+    for i, (value, seed, base, gaf) in enumerate(pairs):
+        if gaf not in summaries:  # the pair's group has not run yet
+            legs = list(groups[group_key(base)])
+            summaries.update(zip(legs, _execute_one(legs, out_root)))
+        base_summary, gaf_summary = summaries[base], summaries[gaf]
+        improvement = None
+        if gaf_summary["final_val_acc"] is not None and base_summary["final_val_acc"] is not None:
+            improvement = gaf_summary["final_val_acc"] - base_summary["final_val_acc"]
+        # appended pair by pair, so a crash keeps every earlier row (cheaper
+        # than a rename per pair); csv writes None as an empty cell
+        with table.open("a" if i else "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            for value, seed, base, gaf in ready:
-                base_summary, gaf_summary = summaries[base], summaries[gaf]
-                if mode == "w":
-                    writer.writerow(["param", "value", "seed", "aggregator", *gaf_summary,
-                                     "improvement"])
-                    mode = "a"
-                improvement = None
-                if (gaf_summary["final_val_acc"] is not None
-                        and base_summary["final_val_acc"] is not None):
-                    improvement = gaf_summary["final_val_acc"] - base_summary["final_val_acc"]
-                writer.writerow([axis, value, seed, AGG_AVERAGING, *base_summary.values(), None])
-                writer.writerow([axis, value, seed, AGG_GAF, *gaf_summary.values(), improvement])
+            if not i:
+                writer.writerow(["param", "value", "seed", "aggregator", *gaf_summary,
+                                 "improvement"])
+            writer.writerow([axis, value, seed, AGG_AVERAGING, *base_summary.values(), None])
+            writer.writerow([axis, value, seed, AGG_GAF, *gaf_summary.values(), improvement])
     print(f"sweep table written to {table}")
     return 0
 
@@ -394,20 +387,10 @@ def main(argv=None) -> int:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from None
         exp = load_experiment(raw, _overrides(args))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        if args.command == "run":
-            return cmd_run(exp)
-        return cmd_sweep(exp)
+        return cmd_run(exp) if args.command == "run" else cmd_sweep(exp)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

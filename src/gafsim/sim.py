@@ -111,6 +111,13 @@ class RunConfig:
             raise ValueError("tau must be in [0, 2]")
         if not 0.0 < self.val_fraction < 1.0:
             raise ValueError("val_fraction must be in (0, 1)")
+        # _split's rounding; a CSV file's row count is known only once it is read
+        if self.data.kind != data_mod.CSV:
+            rows = (self.data.n if self.data.kind == data_mod.WHITE_NOISE
+                    else self.data.n_per_class * self.data.num_classes)
+            if not 0 < round(self.val_fraction * rows) < rows:
+                raise ValueError(f"val_fraction {self.val_fraction:g} leaves an empty split "
+                                 f"of {rows} rows")
         if self.eval_every < 1:
             raise ValueError("eval_every must be >= 1")
         if self.pivot is not None and not 0 <= self.pivot < self.k:

@@ -4,16 +4,29 @@
     (cd /path/to/parent && PYTHONPATH=src python3 tests/records_digest.py 300) > before.json
     diff before.json after.json
 
-Run each side's own copy of the script, as above: it reads a run's result
-through that version's API. Prints one JSON object, config index -> sha256
-over the run's ``records.jsonl`` and ``records.csv`` bytes (as
-``write_records`` writes them) followed by the bytes of its final
-parameter vector (``RunResult.params``, one flat float64 array). Config
-i is drawn from a generator seeded with i, so a given N names the same
+    PYTHONPATH=src python3 tests/records_digest.py sweeps 150 > after.json
+    PYTHONPATH=/path/to/parent/src python3 tests/records_digest.py sweeps 150 > before.json
+
+For records, run each side's own copy of the script, as in the first
+example: it reads a run's result through that version's API. Prints one
+JSON object, config index -> sha256 over the run's ``records.jsonl`` and
+``records.csv`` bytes (as ``write_records`` writes them) followed by the
+bytes of its final parameter vector (``RunResult.params``, one flat
+float64 array). Config i is drawn from a generator seeded with i, so a given N names the same
 configs under any version of gafsim. The draws cover both model kinds,
 both activations, both sampling modes, both aggregators, k 1-5, weight
 decay 0 and > 0, and datasets of up to 3500 rows (so evaluation spans
 several chunks). A run that fails digests its error message instead.
+
+The ``sweeps`` mode checks the CLI instead. Sweep i is a small random
+sweep drawn from a generator seeded with i: axis ``tau_grid``,
+``noise_rates`` or ``u_values`` by turn, 1-3 values, 1-3 seeds, tiny
+gaussian or white-noise data (small enough that sampling sometimes fails
+part way, leaving a partial table). It runs through ``gafsim.cli.main``
+and prints, per sweep, its exit code, the sha256 of its stderr and the
+sha256 of ``sweep_summary.csv`` and of each run's ``summary.json``. It
+reads only ``gafsim.cli.main``, so one copy of the script can be run
+against each tree's ``src/``, as in the second example.
 
 This is a script, not a test module: pytest does not collect it. The
 golden-digest tests import ``run_digest`` from it.
@@ -21,7 +34,9 @@ golden-digest tests import ``run_digest`` from it.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import sys
 import tempfile
@@ -29,6 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
+from gafsim.cli import main as cli_main
 from gafsim.data import DataConfig
 from gafsim.models import ModelSpec
 from gafsim.sim import RunConfig, run_detailed
@@ -89,7 +105,67 @@ def digest_or_error(cfg: RunConfig) -> str:
         return "error: " + hashlib.sha256(str(exc).encode()).hexdigest()
 
 
+SWEEP_AXES = ("tau_grid", "noise_rates", "u_values")
+
+
+def random_sweep(index: int) -> dict:
+    """A small random sweep config object (output_dir unset)."""
+    rng = np.random.default_rng(index)
+    num_classes = int(rng.integers(2, 4))
+    input_dim = int(rng.integers(2, 8))
+    kind = str(rng.choice(["softmax_linear", "mlp1"]))
+    model = {"kind": kind, "input_dim": input_dim, "num_classes": num_classes,
+             "hidden_dim": int(rng.integers(1, 9)) if kind == "mlp1" else 0,
+             "activation": str(rng.choice(["tanh", "relu"])), "init_seed": int(rng.integers(99))}
+    if rng.random() < 0.5:
+        data = {"kind": "gaussian", "n_per_class": int(rng.integers(4, 40)),
+                "sigma": float(rng.uniform(0.2, 2.0)), "noise_rate": float(rng.choice([0.0, 0.3]))}
+    else:
+        data = {"kind": "white_noise", "n": int(rng.integers(8, 80))}
+    k = int(rng.integers(1, 5))
+    sampling = str(rng.choice(["stratified", "uniform"]))
+    draw_u = ((lambda: num_classes * int(rng.integers(1, 4))) if sampling == "stratified"
+              else (lambda: int(rng.integers(1, 9))))
+    axis = SWEEP_AXES[index % len(SWEEP_AXES)]
+    n_values = int(rng.integers(1, 4))
+    # noise rates and u values ascend, so a cell that cannot be sampled tends
+    # to fail after the others, leaving a partial table
+    if axis == "tau_grid":
+        values = [round(float(t), 2) for t in rng.uniform(0.5, 1.5, n_values)]
+    elif axis == "noise_rates":
+        values = sorted(float(r) for r in rng.choice([0.0, 0.1, 0.2, 0.4], n_values))
+    else:
+        values = sorted(draw_u() for _ in range(n_values))
+    run = {"model": model, "data": data, "k": k, "u": draw_u(), "sampling": sampling,
+           "steps": int(rng.integers(5, 30)), "tau": float(rng.uniform(0.5, 1.5)),
+           "pivot": None if rng.random() < 0.7 else int(rng.integers(k)),
+           "lr": float(rng.choice([0.05, 0.2])), "momentum": float(rng.choice([0.0, 0.9])),
+           "patience": int(rng.integers(1, 4)), "eval_every": int(rng.integers(2, 10)),
+           "val_fraction": 0.25}
+    seeds = [int(s) for s in rng.integers(0, 1000, int(rng.integers(1, 4)))]
+    return {"run": run, "sweep": {axis: values}, "seeds": seeds}
+
+
+def sweep_digest(index: int) -> dict:
+    """Exit code, stderr digest and output file digests of random sweep index."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        config = Path(tmp) / "sweep.json"
+        config.write_text(json.dumps({**random_sweep(index), "output_dir": str(out)}))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli_main(["sweep", "--config", str(config)])
+        files = sorted([*out.glob("sweep_summary.csv"), *out.glob("*/summary.json")])
+        return {"exit": code, "stderr": hashlib.sha256(err.getvalue().encode()).hexdigest(),
+                **{str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in files}}
+
+
 def main(argv: list[str]) -> int:
+    if len(argv) > 1 and argv[1] == "sweeps":
+        n = int(argv[2]) if len(argv) > 2 else 150
+        print(json.dumps({i: sweep_digest(i) for i in range(n)}, indent=1))
+        return 0
     n = int(argv[1]) if len(argv) > 1 else 300
     print(json.dumps({i: digest_or_error(random_config(i)) for i in range(n)}, indent=1))
     return 0

@@ -43,6 +43,36 @@ SWEEP_GOLDEN_DIGESTS = {
     "gaf_tau1_u3_k2_noise0.2_seed1": "b72c1141c06c9669ca3fbe56eae2b4d7b625efe9a1593263417f02e188301fdb",
     "sweep_summary.csv": "1bbcdd0a8db7a2781bfcf5dbc9812e13bb8734b2b0bf8b6f97773753f7cf842f",
 }
+# the same for test_noise_sweep_outputs_are_golden's sweep
+NOISE_SWEEP_GOLDEN_DIGESTS = {
+    "avg_tau2_u3_k2_noise0.4_seed0": "12f30119310d8d7ce1b39ee2fe34d1701b8c7c467ceab843458b1ada660589da",
+    "avg_tau2_u3_k2_noise0.4_seed1": "3861f84d94d09ce7bd729aa46353bbbb0414eb15135bcdc1f7bc6a1bb9523b00",
+    "avg_tau2_u3_k2_noise0_seed0": "4458ede1e12c31511e7a92750250e0faf6ff2001e8a4a18c762342a45e13edb2",
+    "avg_tau2_u3_k2_noise0_seed1": "45c6391652ed148a9a5fda1e7284a868f9bd037d7dccfeb053b6f175eaa77f0b",
+    "gaf_tau0.97_u3_k2_noise0.4_seed0": "8b6a8a4a4d09d2839e8fcca9669719a706b66a043987c242544f604c44a4b092",
+    "gaf_tau0.97_u3_k2_noise0.4_seed1": "a4dd55c4fed0753927f698de3e884bb352d7f909082c3f618fa9681a42434fae",
+    "gaf_tau0.97_u3_k2_noise0_seed0": "4458ede1e12c31511e7a92750250e0faf6ff2001e8a4a18c762342a45e13edb2",
+    "gaf_tau0.97_u3_k2_noise0_seed1": "5f28e232ca1f58e9b959a576f3e8dbf676ce8f11b04d3ffdf370796c5fecaa0d",
+    "sweep_summary.csv": "3dbe6eabb8e261afd28538aa613df71859f61e9d916da082907c7140dc7368fa",
+}
+
+
+def sweep_config(tmp_path, sweep, seeds=(0,), **run_overrides):
+    path = minimal_config(tmp_path, **run_overrides)
+    obj = json.loads(path.read_text())
+    obj["sweep"] = sweep
+    obj["seeds"] = list(seeds)
+    path.write_text(json.dumps(obj))
+    return path
+
+
+def output_digests(out_dir):
+    """sha256 of each run's summary.json, by run name, and of sweep_summary.csv."""
+    digests = {p.parent.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in out_dir.glob("*/summary.json")}
+    digests["sweep_summary.csv"] = hashlib.sha256(
+        (out_dir / "sweep_summary.csv").read_bytes()).hexdigest()
+    return digests
 
 
 def read_summary(out_dir, name):
@@ -80,6 +110,15 @@ class TestRunCommand:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert main(["run", "--config", str(path)]) == 2
+
+    def test_unexpected_error_while_loading_exits_1(self, tmp_path, capsys, monkeypatch):
+        def fail(*args):
+            raise RuntimeError("simulated failure")
+
+        monkeypatch.setattr(cli, "load_experiment", fail)
+        assert main(["run", "--config", str(minimal_config(tmp_path))]) == 1
+        assert capsys.readouterr().err == "error: simulated failure\n"
+        assert not (tmp_path / "out").exists()
 
     def test_admit_all_filter_summary_matches_averaging(self, tmp_path):
         cfg = minimal_config(tmp_path, steps=30)
@@ -198,19 +237,46 @@ class TestSweepCommand:
     def test_tau_sweep_outputs_are_golden(self, tmp_path):
         # digests recorded before the table and summary writers were derived
         # from summarize's keys; the bytes must never move
-        path = minimal_config(tmp_path, steps=12, data={"kind": "gaussian", "n_per_class": 40,
-                                                        "sigma": 0.5, "noise_rate": 0.2})
-        obj = json.loads(path.read_text())
-        obj["sweep"] = {"tau_grid": [0.5, 1]}
-        obj["seeds"] = [0, 1]
-        path.write_text(json.dumps(obj))
+        path = sweep_config(tmp_path, {"tau_grid": [0.5, 1]}, seeds=[0, 1], steps=12,
+                            data={"kind": "gaussian", "n_per_class": 40, "sigma": 0.5,
+                                  "noise_rate": 0.2})
         assert main(["sweep", "--config", str(path)]) == 0
-        out = tmp_path / "out"
-        digests = {p.parent.name: hashlib.sha256(p.read_bytes()).hexdigest()
-                   for p in out.glob("*/summary.json")}
-        digests["sweep_summary.csv"] = hashlib.sha256(
-            (out / "sweep_summary.csv").read_bytes()).hexdigest()
-        assert digests == SWEEP_GOLDEN_DIGESTS
+        assert output_digests(tmp_path / "out") == SWEEP_GOLDEN_DIGESTS
+
+    def test_noise_sweep_outputs_are_golden(self, tmp_path):
+        # digests recorded before the sweep ran each group at its first table row
+        path = sweep_config(tmp_path, {"noise_rates": [0.0, 0.4]}, seeds=[0, 1], steps=12)
+        assert main(["sweep", "--config", str(path)]) == 0
+        assert output_digests(tmp_path / "out") == NOISE_SWEEP_GOLDEN_DIGESTS
+
+    @staticmethod
+    def record_groups(monkeypatch) -> list:
+        """The legs of each run group the sweep runs, as (aggregator, tau, noise, seed)."""
+        groups = []
+        real_run = sim.run_detailed
+
+        def recording(cfgs):
+            groups.append([(c.aggregator, c.tau, c.data.noise_rate, c.master_seed)
+                           for c in cfgs])
+            return real_run(cfgs)
+
+        monkeypatch.setattr(sim, "run_detailed", recording)
+        return groups
+
+    def test_tau_sweep_runs_one_group_per_seed(self, tmp_path, monkeypatch):
+        path = sweep_config(tmp_path, {"tau_grid": [0.5, 1]}, seeds=[0, 1], steps=4)
+        groups = self.record_groups(monkeypatch)
+        assert main(["sweep", "--config", str(path)]) == 0
+        # one averaging baseline (tau 2), then each tau's filtered leg
+        assert groups == [[("avg", 2.0, 0.0, seed), ("gaf", 0.5, 0.0, seed),
+                           ("gaf", 1.0, 0.0, seed)] for seed in (0, 1)]
+
+    def test_noise_sweep_runs_one_group_per_pair_in_table_order(self, tmp_path, monkeypatch):
+        path = sweep_config(tmp_path, {"noise_rates": [0.0, 0.4]}, seeds=[0, 1], steps=4)
+        groups = self.record_groups(monkeypatch)
+        assert main(["sweep", "--config", str(path)]) == 0
+        assert groups == [[("avg", 2.0, noise, seed), ("gaf", 0.97, noise, seed)]
+                          for noise in (0.0, 0.4) for seed in (0, 1)]
 
     def test_table_keeps_finished_rows_when_a_later_run_fails(self, tmp_path, monkeypatch):
         path = minimal_config(tmp_path, steps=6)
@@ -232,6 +298,15 @@ class TestSweepCommand:
             rows = list(csv.DictReader(fh))
         assert [(r["value"], r["seed"], r["aggregator"]) for r in rows] == [
             ("0.5", "0", "avg"), ("0.5", "0", "gaf")]
+
+    def test_failed_first_group_leaves_no_directory(self, tmp_path, capsys):
+        # 3 white-noise rows over 2 classes cannot fill a stratified u=2 macrobatch
+        path = sweep_config(tmp_path, {"tau_grid": [0.97]}, u=2,
+                            model={"kind": "softmax_linear", "input_dim": 6, "num_classes": 2},
+                            data={"kind": "white_noise", "n": 3})
+        assert main(["sweep", "--config", str(path)]) == 1
+        assert "class 0 has 1 samples, need 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_sweep_requires_exactly_one_axis(self, tmp_path, capsys):
         path = minimal_config(tmp_path)
@@ -408,8 +483,10 @@ class TestConfigErrors:
         (("run", "data", "sigma"), 0, "run.data: sigma must be positive"),
         (("run", "data", "n_per_class"), 0, "run.data: n_per_class must be >= 1"),
         (("run", "data"), {"kind": "white_noise", "n": 0}, "run.data: n must be >= 1"),
+        (("run", "val_fraction"), 0.001,
+         "run: val_fraction 0.001 leaves an empty split of 120 rows"),
     ], ids=["noise_rate", "steps", "hidden_dim", "u-classes", "sigma", "n_per_class",
-            "white_noise-n"])
+            "white_noise-n", "val_fraction"])
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_range_error_names_section(self, tmp_path, capsys, where, value, message, command):
         obj = self.base(tmp_path)

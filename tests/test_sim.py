@@ -143,6 +143,36 @@ class TestStepAccounting:
     def test_min_lr_may_be_zero_or_the_starting_lr(self, min_lr):
         assert base_cfg(lr=0.01, min_lr=min_lr).min_lr == min_lr
 
+    @pytest.mark.parametrize("data,val_fraction,rows", [
+        (DATA, 0.001, 300),  # round(0.3): no validation rows
+        (DATA, 0.999, 300),  # round(299.7): no training rows
+        (DataConfig(kind="white_noise", num_classes=5, input_dim=8, n=10), 0.04, 10),
+        (DataConfig(kind="white_noise", num_classes=5, input_dim=8, n=10), 0.96, 10),
+    ], ids=["gaussian-val", "gaussian-train", "white_noise-val", "white_noise-train"])
+    def test_val_fraction_leaving_an_empty_split_rejected(self, data, val_fraction, rows):
+        with pytest.raises(ValueError, match=f"^val_fraction {val_fraction:g} leaves an empty "
+                                             f"split of {rows} rows$"):
+            base_cfg(data=data, val_fraction=val_fraction)
+
+    def test_val_fraction_check_rounds_like_the_split(self):
+        # 0.06 * 10 rounds to 1 validation row, 0.94 * 10 to 9 (1 training row)
+        data = DataConfig(kind="white_noise", num_classes=5, input_dim=8, n=10)
+        for val_fraction in (0.06, 0.94):
+            cfg = base_cfg(data=data, val_fraction=val_fraction, k=1, u=1, steps=2,
+                           sampling="uniform")
+            assert len(run(cfg)) == 2
+
+    def test_csv_empty_split_fails_at_run_time(self, tmp_path):
+        # a CSV file's row count is unknown until it is read
+        path = tmp_path / "d.csv"
+        rows = [f"{i % 7}.0,{i % 3}" for i in range(60)]
+        path.write_text("f0,label\n" + "\n".join(rows) + "\n")
+        model = ModelSpec(kind=SOFTMAX_LINEAR, input_dim=1, num_classes=3)
+        cfg = base_cfg(model=model, data=DataConfig(kind="csv", path=str(path)), u=3,
+                       val_fraction=0.001)
+        with pytest.raises(ValueError, match="val_fraction leaves an empty split"):
+            run(cfg)
+
     @pytest.mark.parametrize("kind", ["gaussian", "white_noise"])
     def test_data_model_input_dim_conflict_rejected(self, kind):
         data = DataConfig(kind=kind, num_classes=5, input_dim=9)
