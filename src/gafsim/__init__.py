@@ -31,7 +31,7 @@ from .models import (
     loss_and_grad,
     predict,
 )
-from .optim import OptimState, SchedState, init_optim, plateau_update, sgd_step, skip_step
+from .optim import OptimState, init_optim, plateau_update, sgd_step, skip_step
 from .sim import (
     RunConfig,
     RunResult,
@@ -72,7 +72,6 @@ __all__ = [
     "loss_and_grad",
     "predict",
     "OptimState",
-    "SchedState",
     "init_optim",
     "plateau_update",
     "sgd_step",

@@ -13,7 +13,8 @@ types and their defaults are the fields of ModelSpec, DataConfig and
 RunConfig; every key but data.num_classes/input_dim (which follow the
 model) has a matching flag that strictly overrides the file value. Unknown
 keys anywhere in the file are hard errors. Exit codes: 0 success, 1
-runtime failure, 2 configuration error.
+runtime failure, 2 configuration error; any other exception is a bug and
+propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -93,7 +94,10 @@ def _typed(value, want: type, where: str):
     ok = isinstance(value, (int, float) if want is float else want)
     if not ok or isinstance(value, bool):
         raise ConfigError(f"{where}: expected {want.__name__}, got {json.dumps(value)}")
-    return float(value) if want is float else value
+    try:
+        return float(value) if want is float else value
+    except OverflowError as exc:  # a JSON integer beyond float range
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _section(raw, where: str, keys, overrides: dict | None = None) -> dict:
@@ -391,6 +395,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # noqa: BLE001 - CLI boundary
+    except (ValueError, OSError, RuntimeError) as exc:
+        # the failures gafsim raises on purpose; anything else is a bug and keeps its traceback
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -10,6 +10,7 @@ Sampling is pure given a step seed, so every draw is reproducible.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import re
 from dataclasses import dataclass
@@ -230,17 +231,18 @@ def _feature(text: str) -> float:
 def load_csv(path) -> Dataset:
     """Read a dataset from CSV with header f0,...,f{d-1},label.
 
-    Features are finite 64-bit reals; labels are non-negative integers.
-    Rows with the wrong number of fields, a feature that is not a finite
-    number, or a bad label are rejected with the file and line.
+    The file is read as UTF-8. Features are finite 64-bit reals; labels are
+    non-negative integers. Bytes that are not UTF-8, a row the csv module
+    cannot parse, rows with the wrong number of fields, a feature that is not
+    a finite number, or a bad label are rejected with the file and line.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
+    raw = path.read_bytes()
+    try:
+        reader = csv.reader(io.StringIO(raw.decode("utf-8"), newline=""))
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file")
         d = len(header) - 1
         expected = [f"f{i}" for i in range(d)] + ["label"]
         if d < 1 or header != expected:
@@ -257,6 +259,11 @@ def load_csv(path) -> Dataset:
             if not re.fullmatch(r"\d+", row[d].strip()):
                 raise ValueError(f"{path}:{lineno}: label must be a non-negative integer")
             labels.append(int(row[d]))
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{lineno}: {exc}") from None
+    except csv.Error as exc:
+        raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     if not feats:
         raise ValueError(f"{path}: no data rows")
     features = np.asarray(feats, dtype=np.float64)

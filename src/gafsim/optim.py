@@ -1,10 +1,10 @@
 """SGD with heavy-ball momentum and reduce-on-plateau scheduling.
 
 Weight decay is coupled (folded into the loss gradient upstream), so the
-optimizer only ever sees the combined gradient. Skipped macrobatches must
-leave every piece of optimizer and scheduler state untouched; the step
-functions are pure, returning new state objects, which makes that easy to
-assert bitwise.
+optimizer only ever sees the combined gradient. One frozen OptimState holds
+both the optimizer's and the scheduler's state. A skipped macrobatch must
+leave every field but skip_count untouched; the step functions are pure,
+returning new states, which makes that easy to assert bitwise.
 """
 
 from __future__ import annotations
@@ -17,39 +17,37 @@ import numpy as np
 
 @dataclass(frozen=True)
 class OptimState:
+    """SGD state plus a reduce-on-plateau schedule for a higher-is-better metric."""
+
     lr: float
     momentum: float
     velocity: np.ndarray
+    patience: int
+    lr_factor: float
+    min_lr: float
+    min_delta: float
     step_count: int = 0
     skip_count: int = 0
+    best_metric: float = -math.inf
+    bad_epochs: int = 0
 
     def __post_init__(self):
         if self.lr <= 0:
             raise ValueError("lr must be positive")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
-
-
-@dataclass(frozen=True)
-class SchedState:
-    """Reduce-on-plateau state for a higher-is-better metric."""
-
-    patience: int
-    lr_factor: float
-    min_lr: float = 1e-6
-    min_delta: float = 1e-4
-    best_metric: float = -math.inf
-    bad_epochs: int = 0
-
-    def __post_init__(self):
+        # a cut sets lr = max(lr * lr_factor, min_lr): a floor above the lr would raise it
+        if not 0.0 <= self.min_lr <= self.lr:
+            raise ValueError(f"min_lr must be in [0, lr], got {self.min_lr:g} with lr {self.lr:g}")
         if not 0.0 < self.lr_factor < 1.0:
             raise ValueError("lr_factor must be in (0, 1)")
         if self.patience < 0:
             raise ValueError("patience must be >= 0")
 
 
-def init_optim(lr: float, momentum: float, dim: int) -> OptimState:
-    return OptimState(lr=lr, momentum=momentum, velocity=np.zeros(dim))
+def init_optim(lr: float, momentum: float, dim: int, patience: int, lr_factor: float,
+               min_lr: float, min_delta: float) -> OptimState:
+    return OptimState(lr, momentum, np.zeros(dim), patience, lr_factor, min_lr, min_delta)
 
 
 def sgd_step(params: np.ndarray, grad: np.ndarray, opt: OptimState) -> tuple[np.ndarray, OptimState]:
@@ -65,9 +63,7 @@ def skip_step(opt: OptimState) -> OptimState:
     return replace(opt, skip_count=opt.skip_count + 1)
 
 
-def plateau_update(
-    sched: SchedState, opt: OptimState, val_metric: float
-) -> tuple[SchedState, OptimState]:
+def plateau_update(opt: OptimState, val_metric: float) -> OptimState:
     """Feed one validation metric; cut the lr after too many stale evals.
 
     Improvement means exceeding the best seen metric by more than min_delta.
@@ -76,10 +72,9 @@ def plateau_update(
     """
     if not math.isfinite(val_metric):
         raise ValueError("validation metric must be finite")
-    if val_metric > sched.best_metric + sched.min_delta:
-        return replace(sched, best_metric=val_metric, bad_epochs=0), opt
-    bad = sched.bad_epochs + 1
-    if bad > sched.patience:
-        new_lr = max(opt.lr * sched.lr_factor, sched.min_lr)
-        return replace(sched, bad_epochs=0), replace(opt, lr=new_lr)
-    return replace(sched, bad_epochs=bad), opt
+    if val_metric > opt.best_metric + opt.min_delta:
+        return replace(opt, best_metric=val_metric, bad_epochs=0)
+    bad = opt.bad_epochs + 1
+    if bad > opt.patience:
+        return replace(opt, lr=max(opt.lr * opt.lr_factor, opt.min_lr), bad_epochs=0)
+    return replace(opt, bad_epochs=bad)

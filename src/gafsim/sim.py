@@ -25,7 +25,7 @@ from . import data as data_mod
 from .aggregate import average, draw_pivot, gaf_aggregate, running_scan_distances
 from .data import Dataset, DataConfig, make_dataset, sample_macrobatch, take
 from .models import ModelSpec, accuracy, init_params, loss_and_grad
-from .optim import OptimState, SchedState, init_optim, plateau_update, sgd_step, skip_step
+from .optim import OptimState, init_optim, plateau_update, sgd_step, skip_step
 from .telemetry import StepRecord, summarize
 
 AGG_AVERAGING = "avg"
@@ -94,8 +94,12 @@ class RunConfig:
             raise ValueError(f"unknown aggregator {self.aggregator!r}")
         if self.sampling not in (data_mod.STRATIFIED, data_mod.UNIFORM):
             raise ValueError(f"unknown sampling {self.sampling!r}")
-        # a CSV file's dims are known only once it is read: run_detailed checks
-        # them before step 1, and sampling checks u against its class count
+        if not 0.0 <= self.tau <= 2.0:
+            raise ValueError("tau must be in [0, 2]")
+        if not 0.0 < self.val_fraction < 1.0:
+            raise ValueError("val_fraction must be in (0, 1)")
+        # a CSV file's dims and rows are known only once it is read, and stratified capacity
+        # only once the split is drawn: run_detailed and sampling check those
         if self.data.kind != data_mod.CSV:
             classes = self.data.num_classes
             if classes != self.model.num_classes:
@@ -107,32 +111,22 @@ class RunConfig:
             if self.sampling == data_mod.STRATIFIED and self.u % classes != 0:
                 raise ValueError(f"stratified sampling needs u divisible by num_classes "
                                  f"({self.u} % {classes} != 0)")
-        if not 0.0 <= self.tau <= 2.0:
-            raise ValueError("tau must be in [0, 2]")
-        if not 0.0 < self.val_fraction < 1.0:
-            raise ValueError("val_fraction must be in (0, 1)")
-        # _split's rounding; a CSV file's row count is known only once it is read
-        if self.data.kind != data_mod.CSV:
             rows = (self.data.n if self.data.kind == data_mod.WHITE_NOISE
-                    else self.data.n_per_class * self.data.num_classes)
-            if not 0 < round(self.val_fraction * rows) < rows:
+                    else self.data.n_per_class * classes)
+            train_rows = rows - round(self.val_fraction * rows)  # run_detailed's split
+            if not 0 < train_rows < rows:
                 raise ValueError(f"val_fraction {self.val_fraction:g} leaves an empty split "
                                  f"of {rows} rows")
+            if self.sampling == data_mod.UNIFORM and self.k * self.u > train_rows:
+                raise ValueError(f"uniform macrobatch k*u={self.k * self.u} exceeds the "
+                                 f"{train_rows} training rows of {rows}")
         if self.eval_every < 1:
             raise ValueError("eval_every must be >= 1")
         if self.pivot is not None and not 0 <= self.pivot < self.k:
             raise ValueError(f"pivot {self.pivot} out of range [0, {self.k}) for k={self.k}")
-        # the optimizer's and scheduler's range checks, run here rather than at step 1
-        OptimState(lr=self.lr, momentum=self.momentum, velocity=np.zeros(0))
-        # a floor above the starting lr would make a plateau cut raise it
-        if not 0.0 <= self.min_lr <= self.lr:
-            raise ValueError(f"min_lr must be in [0, lr], got {self.min_lr:g} with lr {self.lr:g}")
-        self.initial_sched()
-
-    def initial_sched(self) -> SchedState:
-        return SchedState(
-            patience=self.patience, lr_factor=self.lr_factor, min_lr=self.min_lr, min_delta=self.min_delta
-        )
+        # the optimizer's and plateau schedule's range checks, run here rather than at step 1
+        OptimState(self.lr, self.momentum, np.zeros(0), self.patience, self.lr_factor,
+                   self.min_lr, self.min_delta)
 
 
 @dataclass
@@ -140,16 +134,7 @@ class RunResult:
     records: list[StepRecord]
     params: np.ndarray
     opt: OptimState
-    sched: SchedState
     train: Dataset
-
-
-def _split(ds: Dataset, val_fraction: float, seed: int):
-    perm = np.random.default_rng(seed).permutation(ds.n)
-    n_val = round(val_fraction * ds.n)
-    if n_val < 1 or n_val >= ds.n:
-        raise ValueError("val_fraction leaves an empty split")
-    return take(ds, perm[n_val:]), ds.features[perm[:n_val]], ds.clean_labels[perm[:n_val]]
 
 
 def group_key(cfg: RunConfig) -> tuple:
@@ -183,8 +168,14 @@ def run_detailed(cfgs: Sequence[RunConfig]) -> list[RunResult]:
     if first.data.noise_rate > 0:
         ds = data_mod.inject_symmetric_noise(ds, first.data.noise_rate,
                                              derive_seed(master, _TAG_NOISE))
-    train, val_x, val_y = _split(ds, first.val_fraction, derive_seed(master, _TAG_SPLIT))
-    # RunConfig matched generated data to the model; a CSV file's dims are known only now
+    perm = np.random.default_rng(derive_seed(master, _TAG_SPLIT)).permutation(ds.n)
+    n_val = round(first.val_fraction * ds.n)
+    # RunConfig has checked generated data; a CSV file's rows and dims are known only now
+    if not 0 < n_val < ds.n:
+        raise ValueError(f"{first.data.path}: val_fraction {first.val_fraction:g} leaves an "
+                         f"empty split of {ds.n} rows")
+    train = take(ds, perm[n_val:])
+    val_x, val_y = ds.features[perm[:n_val]], ds.clean_labels[perm[:n_val]]
     if train.dim != first.model.input_dim or train.num_classes > first.model.num_classes:
         raise ValueError(
             f"{first.data.path}: {train.dim} features and {train.num_classes} classes, run.model "
@@ -195,8 +186,9 @@ def run_detailed(cfgs: Sequence[RunConfig]) -> list[RunResult]:
     init = init_params(spec)
     # each leg's state is its RunResult, updated in place step by step
     legs = {
-        cfg: RunResult([], init.copy(), init_optim(cfg.lr, cfg.momentum, init.size),
-                       cfg.initial_sched(), train)
+        cfg: RunResult([], init.copy(), init_optim(cfg.lr, cfg.momentum, init.size, cfg.patience,
+                                                   cfg.lr_factor, cfg.min_lr, cfg.min_delta),
+                       train)
         for cfg in cfgs
     }
     draws_pivot = any(cfg.aggregator == AGG_GAF and cfg.pivot is None for cfg in legs)
@@ -237,7 +229,7 @@ def run_detailed(cfgs: Sequence[RunConfig]) -> list[RunResult]:
                 train_acc = accuracy(leg.params, train.features, train.labels, spec)
                 val_acc = accuracy(leg.params, val_x, val_y, spec)
             if scheduled:
-                leg.sched, leg.opt = plateau_update(leg.sched, leg.opt, val_acc)
+                leg.opt = plateau_update(leg.opt, val_acc)
 
             leg.records.append(
                 StepRecord(

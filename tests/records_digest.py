@@ -7,6 +7,9 @@
     PYTHONPATH=src python3 tests/records_digest.py sweeps 150 > after.json
     PYTHONPATH=/path/to/parent/src python3 tests/records_digest.py sweeps 150 > before.json
 
+    PYTHONPATH=src python3 tests/records_digest.py state 300 > after.json
+    PYTHONPATH=/path/to/parent/src python3 tests/records_digest.py state 300 > before.json
+
 For records, run each side's own copy of the script, as in the first
 example: it reads a run's result through that version's API. Prints one
 JSON object, config index -> sha256 over the run's ``records.jsonl`` and
@@ -16,7 +19,16 @@ float64 array). Config i is drawn from a generator seeded with i, so a given N n
 configs under any version of gafsim. The draws cover both model kinds,
 both activations, both sampling modes, both aggregators, k 1-5, weight
 decay 0 and > 0, and datasets of up to 3500 rows (so evaluation spans
-several chunks). A run that fails digests its error message instead.
+several chunks). A config that fails, when it is built or when it runs,
+digests its error message instead.
+
+The ``state`` mode runs the same configs and prints, per config, the
+sha256 of the final ``lr``, ``momentum``, ``velocity``, ``step_count``,
+``skip_count``, ``best_metric`` and ``bad_epochs``, each as float64
+bytes. It reads each value by name from ``RunResult.opt``, or from
+``RunResult.sched`` on a tree that keeps the plateau state there, so one
+copy of the script can be run against each tree's ``src/``, as in the
+third example.
 
 The ``sweeps`` mode checks the CLI instead. Sweep i is a small random
 sweep drawn from a generator seeded with i: axis ``tau_grid``,
@@ -98,9 +110,27 @@ def random_config(index: int) -> RunConfig:
     )
 
 
-def digest_or_error(cfg: RunConfig) -> str:
+# the final optimizer state the ``state`` mode digests, by name
+STATE_FIELDS = ("lr", "momentum", "velocity", "step_count", "skip_count", "best_metric",
+                "bad_epochs")
+
+
+def state_digest(cfg: RunConfig) -> str:
+    """sha256 of the run's final STATE_FIELDS, each as float64 bytes."""
+    result = run_detailed([cfg])[0]
+    # a tree that keeps the plateau state apart from the optimizer's has it on .sched
+    blob = b"".join(
+        np.asarray(getattr(result.opt if hasattr(result.opt, name) else result.sched, name),
+                   dtype=np.float64).tobytes()
+        for name in STATE_FIELDS
+    )
+    return hashlib.sha256(blob).hexdigest()
+
+
+def digest_or_error(index: int, digest=run_digest) -> str:
+    """digest(random_config(index)), or a digest of the error that building or running it raised."""
     try:
-        return run_digest(cfg)
+        return digest(random_config(index))
     except (ValueError, RuntimeError) as exc:
         return "error: " + hashlib.sha256(str(exc).encode()).hexdigest()
 
@@ -166,8 +196,11 @@ def main(argv: list[str]) -> int:
         n = int(argv[2]) if len(argv) > 2 else 150
         print(json.dumps({i: sweep_digest(i) for i in range(n)}, indent=1))
         return 0
-    n = int(argv[1]) if len(argv) > 1 else 300
-    print(json.dumps({i: digest_or_error(random_config(i)) for i in range(n)}, indent=1))
+    args, digest = argv[1:], run_digest
+    if args[:1] == ["state"]:
+        args, digest = args[1:], state_digest
+    n = int(args[0]) if args else 300
+    print(json.dumps({i: digest_or_error(i, digest) for i in range(n)}, indent=1))
     return 0
 
 

@@ -207,8 +207,8 @@ class TestCriterion3DeterminismAndSkips:
             and np.array_equal(result.opt.velocity, np.zeros(result.params.size))
             and result.opt.lr == skip_cfg.lr
             and result.opt.step_count == 0
-            and result.sched.bad_epochs == 0
-            and result.sched.best_metric == float("-inf")
+            and result.opt.bad_epochs == 0
+            and result.opt.best_metric == float("-inf")
         )
         elapsed = time.monotonic() - start
         ok = identical and untouched and elapsed < 60.0

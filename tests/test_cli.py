@@ -120,6 +120,29 @@ class TestRunCommand:
         assert capsys.readouterr().err == "error: simulated failure\n"
         assert not (tmp_path / "out").exists()
 
+    def test_unexpected_exception_type_propagates(self, tmp_path, monkeypatch):
+        # only ConfigError, ValueError, OSError and RuntimeError are gafsim's own failures;
+        # any other exception is a bug and keeps its traceback
+        def fail(*args):
+            raise KeyError("final_val_acc")
+
+        monkeypatch.setattr(cli, "load_experiment", fail)
+        with pytest.raises(KeyError, match="final_val_acc"):
+            main(["run", "--config", str(minimal_config(tmp_path))])
+
+    def test_non_utf8_csv_names_file_and_line(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        rows = [b"%d.5,%d" % (i % 3, i % 3) for i in range(30)]
+        rows[4] = b"\xff.5,0"
+        data.write_bytes(b"f0,label\n" + b"\n".join(rows) + b"\n")
+        cfg = minimal_config(tmp_path, model={"kind": "softmax_linear", "input_dim": 1,
+                                              "num_classes": 3},
+                             data={"kind": "csv", "path": str(data)})
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {data}:6: 'utf-8' codec can't decode byte 0xff")
+        assert not (tmp_path / "out").exists()
+
     def test_admit_all_filter_summary_matches_averaging(self, tmp_path):
         cfg = minimal_config(tmp_path, steps=30)
         assert main(["run", "--config", str(cfg), "--aggregator", "gaf",
@@ -306,6 +329,16 @@ class TestSweepCommand:
                             data={"kind": "white_noise", "n": 3})
         assert main(["sweep", "--config", str(path)]) == 1
         assert "class 0 has 1 samples, need 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_uniform_u_beyond_the_train_split_fails_before_any_run(self, tmp_path, capsys):
+        # 40 white-noise rows leave 32 for training: u=2 fits, u=30 (k*u=60) does not
+        path = sweep_config(tmp_path, {"u_values": [2, 30]}, k=2, u=2, sampling="uniform",
+                            model={"kind": "softmax_linear", "input_dim": 6, "num_classes": 2},
+                            data={"kind": "white_noise", "n": 40})
+        assert main(["sweep", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == ("config error: sweep.u_values[1]: uniform macrobatch "
+                                           "k*u=60 exceeds the 32 training rows of 40\n")
         assert not (tmp_path / "out").exists()
 
     def test_sweep_requires_exactly_one_axis(self, tmp_path, capsys):
@@ -510,6 +543,12 @@ class TestConfigErrors:
         obj = self.base(tmp_path)
         obj["sweep"] = {"tau_grid": [0.97]}
         self.assert_config_error(tmp_path, capsys, obj, message, command=command, flags=flags)
+
+    def test_integer_beyond_float_range_is_config_error(self, tmp_path, capsys):
+        obj = self.base(tmp_path)
+        obj["run"]["lr"] = 10 ** 400
+        self.assert_config_error(tmp_path, capsys, obj,
+                                 "run.lr: int too large to convert to float")
 
     def test_range_error_from_flag_names_section(self, tmp_path, capsys):
         self.assert_config_error(tmp_path, capsys, self.base(tmp_path),

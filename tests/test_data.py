@@ -26,7 +26,7 @@ def train_linear(ds, steps=300, lr=1.0):
     spec = ModelSpec(kind=SOFTMAX_LINEAR, input_dim=ds.dim, num_classes=ds.num_classes,
                      init_sigma=0.0)
     params = init_params(spec)
-    opt = init_optim(lr, 0.0, params.size)
+    opt = init_optim(lr, 0.0, params.size, 100, 0.1, 1e-6, 1e-4)
     for _ in range(steps):
         _, grad = loss_and_grad(params, ds.features, ds.labels, spec)
         params, opt = sgd_step(params, grad, opt)
@@ -261,6 +261,24 @@ class TestCsv:
         with pytest.raises(ValueError) as exc:
             load_csv(path)
         assert str(exc.value) == f"{path}:3: feature f1 must be a finite number"
+
+    @pytest.mark.parametrize("bad_line", [3, 1502], ids=["first-chunk", "late-line"])
+    def test_non_utf8_byte_names_file_and_line(self, tmp_path, bad_line):
+        path = tmp_path / "data.csv"
+        rows = [b"%d.5,%d" % (i % 7, i % 3) for i in range(2000)]
+        rows[bad_line - 2] = b"1.5,\xff1"
+        path.write_bytes(b"f0,label\n" + b"\n".join(rows) + b"\n")
+        with pytest.raises(ValueError) as exc:
+            load_csv(path)
+        assert str(exc.value).startswith(f"{path}:{bad_line}: 'utf-8' codec can't decode "
+                                         "byte 0xff in position ")
+
+    def test_oversized_field_names_file_and_line(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("f0,label\n0.5,0\n" + "1" * 200_000 + ",1\n")
+        with pytest.raises(ValueError) as exc:
+            load_csv(path)
+        assert str(exc.value) == f"{path}:3: field larger than field limit (131072)"
 
     def test_make_dataset_dispatch(self, tmp_path):
         path = tmp_path / "data.csv"

@@ -221,7 +221,7 @@ class TestLayout:
             predict(bad, x, MLP_TANH)
         with pytest.raises(ValueError, match=layout):
             accuracy(bad, x, y, MLP_TANH)
-        opt = init_optim(0.1, 0.9, params.size)
+        opt = init_optim(0.1, 0.9, params.size, 100, 0.1, 1e-6, 1e-4)
         with pytest.raises(ValueError, match="does not match params"):
             sgd_step(params, bad, opt)
         with pytest.raises(ValueError, match="does not match params"):

@@ -170,7 +170,39 @@ class TestStepAccounting:
         model = ModelSpec(kind=SOFTMAX_LINEAR, input_dim=1, num_classes=3)
         cfg = base_cfg(model=model, data=DataConfig(kind="csv", path=str(path)), u=3,
                        val_fraction=0.001)
-        with pytest.raises(ValueError, match="val_fraction leaves an empty split"):
+        with pytest.raises(ValueError) as info:
+            run(cfg)
+        assert str(info.value) == f"{path}: val_fraction 0.001 leaves an empty split of 60 rows"
+
+    @pytest.mark.parametrize("data,val_fraction,train_rows,rows", [
+        (DATA, 0.2, 240, 300),
+        (DATA, 0.9, 30, 300),
+        (DataConfig(kind="white_noise", num_classes=5, input_dim=8, n=40), 0.2, 32, 40),
+        (DataConfig(kind="white_noise", num_classes=5, input_dim=8, n=40), 0.5, 20, 40),
+    ], ids=["gaussian", "gaussian-small-train", "white_noise", "white_noise-half"])
+    def test_uniform_macrobatch_beyond_the_train_split_rejected(self, data, val_fraction,
+                                                               train_rows, rows):
+        # the largest k*u the train split supplies runs; one more row is a config error
+        fits = base_cfg(data=data, val_fraction=val_fraction, sampling="uniform", k=2,
+                        u=train_rows // 2, steps=2)
+        assert len(run(fits)) == 2
+        with pytest.raises(ValueError) as info:
+            replace(fits, k=1, u=train_rows + 1)
+        assert str(info.value) == (f"uniform macrobatch k*u={train_rows + 1} exceeds the "
+                                   f"{train_rows} training rows of {rows}")
+
+    def test_stratified_and_csv_capacity_fail_at_run_time(self, tmp_path):
+        # stratified capacity depends on the drawn split, a CSV file's rows on the file
+        data = DataConfig(kind="white_noise", num_classes=5, input_dim=8, n=40)
+        cfg = base_cfg(data=data, k=2, u=10, steps=2)
+        with pytest.raises(ValueError, match="class 3 has 3 samples, need 4 for k=2, u=10"):
+            run(cfg)
+        path = tmp_path / "d.csv"
+        path.write_text("f0,label\n" + "\n".join(f"{i}.0,{i % 3}" for i in range(20)) + "\n")
+        model = ModelSpec(kind=SOFTMAX_LINEAR, input_dim=1, num_classes=3)
+        cfg = base_cfg(model=model, data=DataConfig(kind="csv", path=str(path)), u=9,
+                       sampling="uniform")
+        with pytest.raises(ValueError, match="macrobatch k\\*u=18 exceeds dataset size 16"):
             run(cfg)
 
     @pytest.mark.parametrize("kind", ["gaussian", "white_noise"])
@@ -230,8 +262,8 @@ class TestSkipSemantics:
         assert np.array_equal(result.opt.velocity, np.zeros(result.params.size))
         assert result.opt.lr == cfg.lr
         assert result.opt.step_count == 0
-        assert result.sched.bad_epochs == 0
-        assert result.sched.best_metric == float("-inf")
+        assert result.opt.bad_epochs == 0
+        assert result.opt.best_metric == float("-inf")
 
     def test_skips_do_not_advance_eval_cadence(self):
         # tau=0 skips every step, so no evaluation is ever fed and only the
@@ -357,7 +389,7 @@ NOISE_SWEEP_CELL = RunConfig(
 
 
 def state_bytes(state) -> bytes:
-    """An OptimState's or SchedState's fields as float64 bytes, in field order."""
+    """An OptimState's fields as float64 bytes, in field order."""
     return b"".join(np.asarray(getattr(state, f.name), dtype=np.float64).tobytes()
                     for f in fields(state))
 
@@ -387,7 +419,6 @@ class TestRunGroups:
                     == records_bytes(alone.records, tmp_path, f"alone{i}"))
             assert got.params.tobytes() == alone.params.tobytes()
             assert state_bytes(got.opt) == state_bytes(alone.opt)
-            assert state_bytes(got.sched) == state_bytes(alone.sched)
         # the legs really differ: the group is not one run copied six times
         assert len({r.params.tobytes() for r in results}) == (5 if k > 1 else 3)
 
