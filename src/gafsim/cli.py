@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .aggregate import gaf_aggregate
-from .data import DataConfig
+from .data import STRATIFIED, DataConfig
 from .models import MLP1, SOFTMAX_LINEAR, ModelSpec, init_params, loss_and_grad
 from . import sim
 from .sim import AGG_AVERAGING, AGG_GAF, RunConfig, group_key
@@ -131,12 +131,15 @@ def _build(cls, where: str, **kwargs):
         raise ConfigError(f"{where}: {exc}") from None
 
 
-def load_experiment(obj, overrides: dict | None = None) -> dict:
+def load_experiment(obj, overrides: dict | None = None, command: str = "run") -> dict:
     """Validate a raw config object, with overrides laid over it, into a
     template RunConfig ("run") plus sweep, output_dir, and seeds.
 
     overrides maps a section ("top-level config", "run", "run.model",
-    "run.data") to {key: value}; None values are ignored."""
+    "run.data") to {key: value}; None values are ignored. For the sweep
+    command a u_values axis replaces run.u in every cell, and each cell is
+    checked with its own u, so the template is checked with the smallest u
+    that its sampling admits instead of run.u."""
     if not isinstance(obj, dict):
         raise ConfigError("top-level config must be an object")
     over = overrides or {}
@@ -150,10 +153,14 @@ def load_experiment(obj, overrides: dict | None = None) -> dict:
                             over.get("run.data")), "run.data")
     for key in _FOLLOW_MODEL:
         data.setdefault(key, model[key])
-    template = _build(RunConfig, "run", model=_build(ModelSpec, "run.model", **model),
-                      data=_build(DataConfig, "run.data", **data), **_kwargs(run_sec, "run"))
-
+    run = _kwargs(run_sec, "run")
     sweep = None if top.get("sweep") is None else _section(top["sweep"], "sweep", _SWEEP_AXES)
+    if command == "sweep" and sweep is not None and sweep.get("u_values") is not None:
+        stratified = run.get("sampling", RunConfig.sampling) == STRATIFIED
+        run["u"] = model["num_classes"] if stratified else 1
+    template = _build(RunConfig, "run", model=_build(ModelSpec, "run.model", **model),
+                      data=_build(DataConfig, "run.data", **data), **run)
+
     seeds = top.get("seeds", [0])
     if not isinstance(seeds, list) or not seeds:
         raise ConfigError("seeds must be a nonempty list of integers")
@@ -390,7 +397,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"cannot read config: {exc}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from None
-        exp = load_experiment(raw, _overrides(args))
+        exp = load_experiment(raw, _overrides(args), args.command)
         return cmd_run(exp) if args.command == "run" else cmd_sweep(exp)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -99,7 +99,7 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 def _forward(layers, features: np.ndarray, spec: ModelSpec):
     """The model's forward pass, on the (weight, bias) views `layers`, over any
-    leading axes of `features`.
+    leading axes of `features` and of the views (broadcast against each other).
 
     Returns (pre-activation, or None for softmax_linear; the last layer's
     input; logits).
@@ -108,10 +108,10 @@ def _forward(layers, features: np.ndarray, spec: ModelSpec):
     last_in = features
     if spec.kind == MLP1:
         w1, b1 = layers[0]
-        pre = features @ w1.T + b1
+        pre = features @ w1.swapaxes(-1, -2) + b1[..., None, :]
         last_in = np.tanh(pre) if spec.activation == "tanh" else np.maximum(pre, 0.0)
     w, b = layers[-1]
-    return pre, last_in, last_in @ w.T + b
+    return pre, last_in, last_in @ w.swapaxes(-1, -2) + b[..., None, :]
 
 
 def loss_and_grad(
@@ -119,24 +119,31 @@ def loss_and_grad(
     features: np.ndarray,
     labels: np.ndarray,
     spec: ModelSpec,
-    weight_decay: float = 0.0,
-) -> tuple[float, np.ndarray] | tuple[np.ndarray, np.ndarray]:
+    weight_decay: float | np.ndarray = 0.0,
+) -> tuple[float | np.ndarray, np.ndarray]:
     """Mean cross-entropy plus (weight_decay/2) * ||weights||^2, with its gradient.
 
     The decay term covers weight matrices only, never biases, and is folded
     into the gradient so every micro-gradient already carries regularization.
 
-    (u, d) features with (u,) labels give (loss, gradient flattened in
-    parameter order). Stacked (k, u, d) features with (k, u) labels
-    evaluate k microbatches in one pass and give ((k,) losses, (k, P)
-    gradients), row i bit-identical to the call on microbatch i alone: every
-    reduction and matrix product runs per microbatch, in the same order.
+    (P,) params with (u, d) features and (u,) labels give (loss, gradient
+    flattened in parameter order). Stacked (k, u, d) features with (k, u)
+    labels evaluate k microbatches in one pass and give ((k,) losses, (k, P)
+    gradients). (L, P) params, one parameter vector per row, evaluate every
+    row on the same microbatches and put a leading L axis on both results,
+    ((L, k) losses and (L, k, P) gradients for stacked features);
+    weight_decay is then a scalar or one value per row. Row [l, i] is
+    bit-identical to the call on params[l] and microbatch i alone: every
+    reduction and matrix product runs per row and microbatch, in the same
+    order.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
-    stacked = features.ndim == 3
+    stacked, stacked_params = features.ndim == 3, params.ndim == 2
     if not stacked:
         features, labels = features[None], labels[None]
+    if not stacked_params:
+        params = params[None]
     if features.ndim != 3 or features.shape[0] == 0 or features.shape[1] == 0:
         raise ValueError("batch must be a nonempty 2-D (or stacked 3-D) feature array")
     if labels.shape != features.shape[:2]:
@@ -147,25 +154,31 @@ def loss_and_grad(
     c = spec.num_classes
     if labels.min() < 0 or labels.max() >= c:
         raise ValueError(f"labels must be in [0, {c})")
-    # flat index of each row's label entry in a (k, n, c) array
-    picks = np.arange(0, k * n * c, c) + labels.ravel()
+    n_rows = params.shape[0]
+    decay = np.asarray(weight_decay, dtype=np.float64)
+    if decay.shape not in ((), (n_rows,)):
+        raise ValueError(f"weight_decay of shape {decay.shape} for {n_rows} parameter rows")
+    decay = decay.reshape(-1, 1)
+    # flat index of each row's label entry in an (L, k, n, c) array
+    picks = (np.arange(0, n_rows * k * n * c, c).reshape(n_rows, -1) + labels.ravel()).ravel()
 
     shapes = spec.layer_shapes()
-    layers = _layer_views(params, shapes)
-    grad = np.empty((k, params.size))
+    # (L, 1, rows, cols) weights: each row's parameters meet all k microbatches
+    layers = _layer_views(params[:, None], shapes)
+    grad = np.empty((n_rows, k, params.shape[-1]))
     views = _layer_views(grad, shapes)
     pre, last_in, logits = _forward(layers, features, spec)
     w = layers[-1][0]
     log_p = _log_softmax(logits)
-    ce = -log_p.reshape(-1)[picks].reshape(k, n).mean(axis=-1)
+    ce = -log_p.reshape(-1)[picks].reshape(n_rows, k, n).mean(axis=-1)
     dlogits = np.exp(log_p)
     dlogits.reshape(-1)[picks] -= 1.0
     dlogits /= n
     gw, gb = views[-1]
-    np.matmul(dlogits.transpose(0, 2, 1), last_in, out=gw)
-    gw += weight_decay * w
-    dlogits.sum(axis=1, out=gb)
-    reg = (w * w).sum()
+    np.matmul(dlogits.swapaxes(-1, -2), last_in, out=gw)
+    gw += decay[..., None, None] * w
+    dlogits.sum(axis=-2, out=gb)
+    reg = (w * w).reshape(n_rows, -1).sum(axis=-1)
     if spec.kind == MLP1:
         dhidden = dlogits @ w
         if spec.activation == "tanh":
@@ -175,16 +188,21 @@ def loss_and_grad(
             dpre = dhidden * (pre > 0.0)
         w1 = layers[0][0]
         gw1, gb1 = views[0]
-        np.matmul(dpre.transpose(0, 2, 1), features, out=gw1)
-        gw1 += weight_decay * w1
-        dpre.sum(axis=1, out=gb1)
-        reg = (w1 * w1).sum() + reg
-    # the add also runs at weight_decay 0: it turns a -0.0 cross-entropy into 0.0
-    losses = ce + 0.5 * weight_decay * float(reg)
+        np.matmul(dpre.swapaxes(-1, -2), features, out=gw1)
+        gw1 += decay[..., None, None] * w1
+        dpre.sum(axis=-2, out=gb1)
+        reg = (w1 * w1).reshape(n_rows, -1).sum(axis=-1) + reg
+    # the add also runs at weight_decay 0: it turns a -0.0 cross-entropy into 0.0,
+    # and a non-finite reg into a non-finite loss
+    losses = ce + 0.5 * decay * reg[:, None]
 
     if not np.isfinite(losses).all() or not np.isfinite(grad).all():
         raise ValueError("non-finite loss or gradient")
-    return (losses, grad) if stacked else (float(losses[0]), grad[0])
+    if not stacked:
+        losses, grad = losses[:, 0], grad[:, 0]
+    if not stacked_params:
+        losses, grad = losses[0], grad[0]
+    return (losses if stacked or stacked_params else float(losses)), grad
 
 
 def _predict_chunk_rows(layers) -> int:

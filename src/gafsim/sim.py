@@ -8,7 +8,8 @@ splitmix64 chain, and the k micro-gradients are evaluated in one stacked
 pass whose row i is bit-identical to worker i's gradient evaluated alone,
 so runs are bit-reproducible from master_seed alone. Configs that share
 the data, seed and macrobatch shape run as one group in lockstep, drawing
-each macrobatch and pivot once for all of them (run_detailed).
+each macrobatch and pivot once for all of them and evaluating every leg's
+micro-gradients in one loss_and_grad call per step (run_detailed).
 
 The validation split is carved from the generated dataset and always
 scored against clean labels, even when the training labels are noisy.
@@ -147,10 +148,13 @@ def run_detailed(cfgs: Sequence[RunConfig]) -> list[RunResult]:
 
     The configs must agree on GROUP_FIELDS, so they share the dataset, split,
     init, every macrobatch and every pivot draw: each is built or drawn once
-    per group (or per step). Each leg then takes its own gradients, scan,
-    optimizer step and evaluations, so its records and final state are
-    byte-equal to its config run alone. Equal configs share one leg and one
-    RunResult.
+    per group (or per step). At each step one loss_and_grad call on the
+    legs' stacked (L, P) parameters gives every leg's k micro-gradients,
+    leg i's rows byte-equal to its own call; each leg then takes its own
+    rows, scan, optimizer step and evaluations, so its records and final
+    state are byte-equal to its config run alone. Equal configs share one
+    leg and one RunResult. A diverging leg fails the group with the step,
+    the leg and the message that a leg-by-leg pass would meet first.
     """
     if isinstance(cfgs, RunConfig):
         raise TypeError("run_detailed takes a sequence of RunConfigs; pass [cfg] for one run")
@@ -192,33 +196,46 @@ def run_detailed(cfgs: Sequence[RunConfig]) -> list[RunResult]:
         for cfg in cfgs
     }
     draws_pivot = any(cfg.aggregator == AGG_GAF and cfg.pivot is None for cfg in legs)
+    decay = np.array([cfg.weight_decay for cfg in legs])
 
     for t in range(1, first.steps + 1):
         _, features, labels = sample_macrobatch(
             train, k, first.u, first.sampling, derive_seed(master, _TAG_STEP, t)
         )
         drawn = draw_pivot(k, derive_seed(master, _TAG_PIVOT, t)) if draws_pivot else None
-        for cfg, leg in legs.items():
+        # every leg's k micro-gradients in one call: losses[i], grads[i] are leg i's
+        try:
+            losses, grads = loss_and_grad(np.array([leg.params for leg in legs.values()]),
+                                          features, labels, spec, decay)
+        except ValueError:
+            # a leg diverged: take one call per leg instead, so the error below names the
+            # leg, and the failure, that a leg-by-leg pass meets first
+            losses = grads = None
+        for i, (cfg, leg) in enumerate(legs.items()):
             try:
-                losses, grads = loss_and_grad(leg.params, features, labels, spec, cfg.weight_decay)
+                leg_losses, leg_grads = (
+                    loss_and_grad(leg.params, features, labels, spec, cfg.weight_decay)
+                    if grads is None else (losses[i], grads[i])
+                )
                 # exact: sum starts at 0, and 0 + x == x as a loss is never -0.0
-                train_loss = sum(losses.tolist()) / k
+                train_loss = sum(leg_losses.tolist()) / k
 
                 if cfg.aggregator == AGG_GAF:
                     pivot = drawn if cfg.pivot is None else cfg.pivot
-                    outcome = gaf_aggregate(grads, cfg.tau, pivot)
+                    outcome = gaf_aggregate(leg_grads, cfg.tau, pivot)
                     distances, accepted, gradient = (
                         outcome.pairwise_distances, outcome.accepted_count, outcome.gradient
                     )
                 else:
-                    distances, accepted, gradient = running_scan_distances(grads), k, average(grads)
+                    distances, accepted, gradient = (running_scan_distances(leg_grads), k,
+                                                     average(leg_grads))
                 skipped = gradient is None
                 if skipped:
                     leg.opt = skip_step(leg.opt)
                 else:
                     leg.params, leg.opt = sgd_step(leg.params, gradient, leg.opt)
             except ValueError as exc:
-                where = "" if len(legs) == 1 else f" in group leg {list(legs).index(cfg)}"
+                where = "" if len(legs) == 1 else f" in group leg {i}"
                 raise RuntimeError(f"training diverged at step {t}{where}: {exc}") from exc
 
             scheduled = not skipped and leg.opt.step_count % cfg.eval_every == 0

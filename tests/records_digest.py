@@ -40,6 +40,19 @@ sha256 of ``sweep_summary.csv`` and of each run's ``summary.json``. It
 reads only ``gafsim.cli.main``, so one copy of the script can be run
 against each tree's ``src/``, as in the second example.
 
+The ``groups`` mode checks run groups, whose legs share one gradient call
+per step. Group i is ``random_config(i)``'s shared fields with 2-6 legs
+(sometimes plus a duplicate of the first) that differ in aggregator, tau,
+pivot, lr, momentum, weight decay, ``eval_every`` and the plateau fields.
+It runs each group through ``run_detailed`` and prints, per group, one
+sha256 per leg over the bytes that the records mode and the ``state``
+mode digest, one after the other, or a digest of the error the group
+raised. It reads the result through the same names as ``state``, so one
+copy can be run against each tree's ``src/``:
+
+    PYTHONPATH=src python3 tests/records_digest.py groups 400 > after.json
+    PYTHONPATH=/path/to/parent/src python3 tests/records_digest.py groups 400 > before.json
+
 This is a script, not a test module: pytest does not collect it. The
 golden-digest tests import ``run_digest`` from it.
 """
@@ -52,6 +65,7 @@ import io
 import json
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -59,18 +73,22 @@ import numpy as np
 from gafsim.cli import main as cli_main
 from gafsim.data import DataConfig
 from gafsim.models import ModelSpec
-from gafsim.sim import RunConfig, run_detailed
+from gafsim.sim import RunConfig, RunResult, run_detailed
 from gafsim.telemetry import write_records
 
 
-def run_digest(cfg: RunConfig) -> str:
-    """sha256 of the run's records files plus its final parameters."""
-    result = run_detailed([cfg])[0]
+def result_bytes(result: RunResult) -> bytes:
+    """A RunResult's records files (as write_records writes them) and final parameters."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "records.jsonl"
         write_records(result.records, path)
         blob = path.read_bytes() + path.with_suffix(".csv").read_bytes()
-    return hashlib.sha256(blob + result.params.tobytes()).hexdigest()
+    return blob + result.params.tobytes()
+
+
+def run_digest(cfg: RunConfig) -> str:
+    """sha256 of the run's records files plus its final parameters."""
+    return hashlib.sha256(result_bytes(run_detailed([cfg])[0])).hexdigest()
 
 
 def random_config(index: int) -> RunConfig:
@@ -115,16 +133,52 @@ STATE_FIELDS = ("lr", "momentum", "velocity", "step_count", "skip_count", "best_
                 "bad_epochs")
 
 
-def state_digest(cfg: RunConfig) -> str:
-    """sha256 of the run's final STATE_FIELDS, each as float64 bytes."""
-    result = run_detailed([cfg])[0]
+def state_bytes(result: RunResult) -> bytes:
+    """A RunResult's final STATE_FIELDS, each as float64 bytes."""
     # a tree that keeps the plateau state apart from the optimizer's has it on .sched
-    blob = b"".join(
+    return b"".join(
         np.asarray(getattr(result.opt if hasattr(result.opt, name) else result.sched, name),
                    dtype=np.float64).tobytes()
         for name in STATE_FIELDS
     )
-    return hashlib.sha256(blob).hexdigest()
+
+
+def state_digest(cfg: RunConfig) -> str:
+    """sha256 of the run's final STATE_FIELDS, each as float64 bytes."""
+    return hashlib.sha256(state_bytes(run_detailed([cfg])[0])).hexdigest()
+
+
+def random_group(index: int) -> list[RunConfig]:
+    """random_config(index) as the shared fields of 2-6 legs that differ in
+    every field a leg may vary, drawn from a generator seeded with (index, 1)."""
+    base = random_config(index)
+    rng = np.random.default_rng((index, 1))
+    legs = [
+        replace(base, aggregator=str(rng.choice(["avg", "gaf"])),
+                tau=float(rng.choice([2.0, rng.uniform(0.5, 1.5)])),
+                pivot=None if rng.random() < 0.6 else int(rng.integers(base.k)),
+                lr=float(rng.choice([0.01, 0.05, 0.2])),
+                momentum=float(rng.choice([0.0, 0.5, 0.9])),
+                weight_decay=float(rng.choice([0.0, 0.0, 1e-3, 0.05])),
+                eval_every=int(rng.integers(3, 30)), patience=int(rng.integers(0, 4)),
+                lr_factor=float(rng.choice([0.1, 0.5])), min_lr=float(rng.choice([0.0, 1e-3])),
+                min_delta=float(rng.choice([0.0, 1e-4, 0.05])))
+        for _ in range(int(rng.integers(2, 7)))
+    ]
+    if rng.random() < 0.2:
+        legs.append(legs[0])  # equal configs share one leg
+    return legs
+
+
+def group_digest(index: int) -> list[str] | str:
+    """Per leg of random_group(index), in order, the sha256 of its records
+    files, final parameters and final STATE_FIELDS; or a digest of the error
+    that building or running the group raised."""
+    try:
+        return [hashlib.sha256(result_bytes(r) + state_bytes(r)).hexdigest()
+                for r in run_detailed(random_group(index))]
+    except (ValueError, RuntimeError) as exc:
+        return "error: " + hashlib.sha256(str(exc).encode()).hexdigest()
 
 
 def digest_or_error(index: int, digest=run_digest) -> str:
@@ -195,6 +249,10 @@ def main(argv: list[str]) -> int:
     if len(argv) > 1 and argv[1] == "sweeps":
         n = int(argv[2]) if len(argv) > 2 else 150
         print(json.dumps({i: sweep_digest(i) for i in range(n)}, indent=1))
+        return 0
+    if len(argv) > 1 and argv[1] == "groups":
+        n = int(argv[2]) if len(argv) > 2 else 300
+        print(json.dumps({i: group_digest(i) for i in range(n)}, indent=1))
         return 0
     args, digest = argv[1:], run_digest
     if args[:1] == ["state"]:

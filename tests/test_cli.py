@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -339,6 +340,26 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(path)]) == 2
         assert capsys.readouterr().err == ("config error: sweep.u_values[1]: uniform macrobatch "
                                            "k*u=60 exceeds the 32 training rows of 40\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("run,u_values,message", [
+        # 28 white-noise rows leave 21 for training: k*u=24 does not fit, 10 and 20 do
+        ({"sampling": "uniform", "u": 12, "val_fraction": 0.25,
+          "data": {"kind": "white_noise", "n": 28}}, [5, 10],
+         "run: uniform macrobatch k*u=24 exceeds the 21 training rows of 28"),
+        ({"u": 4}, [3, 6], "run: stratified sampling needs u divisible by num_classes (4 % 3 != 0)"),
+    ], ids=["uniform", "stratified"])
+    def test_u_sweep_checks_each_cell_not_the_replaced_run_u(self, tmp_path, capsys, run,
+                                                            u_values, message):
+        path = sweep_config(tmp_path, {"u_values": u_values}, **run)
+        assert main(["sweep", "--config", str(path)]) == 0
+        assert {p.name for p in (tmp_path / "out").glob("gaf_*")} == {
+            f"gaf_tau0.97_u{u}_k2_noise0_seed0" for u in u_values}
+        # the run command runs run.u, so it still rejects it
+        shutil.rmtree(tmp_path / "out")
+        capsys.readouterr()
+        assert main(["run", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "out").exists()
 
     def test_sweep_requires_exactly_one_axis(self, tmp_path, capsys):

@@ -238,6 +238,12 @@ class TestStacked:
             with pytest.raises(ValueError, match="labels"):
                 loss_and_grad(init_params(LINEAR), x, y, LINEAR)
 
+    def test_weight_decay_needs_one_value_per_parameter_row(self, rng):
+        params = np.stack([init_params(LINEAR)] * 2)
+        x, y = random_batch(rng, LINEAR)
+        with pytest.raises(ValueError, match=r"weight_decay of shape \(3,\) for 2 parameter rows"):
+            loss_and_grad(params, x, y, LINEAR, weight_decay=np.zeros(3))
+
     def test_stacked_label_shape_mismatch_errors(self, rng):
         x = rng.normal(size=(2, 5, 6))
         with pytest.raises(ValueError, match="disagree"):
@@ -332,7 +338,9 @@ class TestProperties:
 
     def test_stacked_equals_single_calls_bytewise(self, rng):
         # both kinds and activations, k 1-5, u 1-30, weight decay 0 and > 0;
-        # each row must match the 2-D call and the 2-D reference arithmetic
+        # each row must match the 2-D call and the 2-D reference arithmetic,
+        # and with a leading axis of 1-4 parameter rows (legs), each with its
+        # own weight decay or one shared, each leg's rows must match that leg's own call
         for case in range(N_PROPERTY_CASES):
             base = ALL_SPECS[case % len(ALL_SPECS)]
             spec = ModelSpec(
@@ -357,6 +365,17 @@ class TestProperties:
                 ref_loss, ref_grad = single_batch_loss_and_grad(params, x[i], y[i], spec, wd)
                 assert losses[i] == loss == ref_loss
                 assert grads[i].tobytes() == grad.tobytes() == ref_grad.tobytes()
+            n_legs = int(rng.integers(1, 5))
+            leg_params = np.stack([params] + [params + rng.normal(size=params.size)
+                                              for _ in range(n_legs - 1)])
+            # one weight decay per leg, or (every fourth case) one for all legs
+            leg_wd = rng.choice([0.0, 1e-3, 0.1], size=n_legs) if case % 4 else wd
+            leg_losses, leg_grads = loss_and_grad(leg_params, x, y, spec, weight_decay=leg_wd)
+            assert leg_losses.shape == (n_legs, k) and leg_grads.shape == (n_legs, k, params.size)
+            for leg, leg_decay in enumerate(np.broadcast_to(leg_wd, n_legs).tolist()):
+                losses, grads = loss_and_grad(leg_params[leg], x, y, spec, weight_decay=leg_decay)
+                assert leg_losses[leg].tobytes() == losses.tobytes()
+                assert leg_grads[leg].tobytes() == grads.tobytes()
 
     def test_layer_views_are_writable_views_into_the_vector(self, rng):
         for _ in range(N_PROPERTY_CASES):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -440,6 +442,37 @@ class TestRunGroups:
     def test_legs_that_differ_in_a_shared_field_are_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"run group legs differ in {name}: "):
             run_detailed([base_cfg(), base_cfg(aggregator="gaf"), base_cfg(**{name: value})])
+
+    # lr * weight_decay >> 1 grows the weights every step until a product
+    # overflows. Run alone (momentum 0), "dot" diverges at step 23 in the
+    # agreement scan's dot product, the others in loss_and_grad: "loss" at step
+    # 23, "late" and "late2" at step 27
+    DIVERGING = {"dot": (dict(lr=1e6, weight_decay=10.0), 23),
+                 "loss": (dict(lr=1e8, weight_decay=0.1), 23),
+                 "late": (dict(lr=1e6, weight_decay=1.0), 27),
+                 "late2": (dict(lr=1e5, weight_decay=10.0), 27)}
+
+    @pytest.mark.parametrize("names", [
+        ("dot", "loss"), ("loss", "dot"), ("late", "dot"), ("late", "late2"),
+    ])
+    def test_diverging_leg_is_named_with_its_step(self, names):
+        # the group fails as a leg-by-leg pass would: at the earliest step, and
+        # there at the first leg in group order that fails, with its own message
+        cfg = base_cfg(steps=60, eval_every=1000, momentum=0.0)
+        legs = [cfg, *(replace(cfg, **self.DIVERGING[name][0]) for name in names),
+                replace(cfg, aggregator="gaf")]
+        failures = []
+        for i, leg in enumerate(legs[1:3], start=1):
+            with pytest.raises(RuntimeError) as info:
+                run(leg)
+            step, message = re.fullmatch(r"training diverged at step (\d+): (.+)",
+                                         str(info.value)).groups()
+            failures.append((int(step), i, message))
+        assert [f[0] for f in failures] == [self.DIVERGING[name][1] for name in names]
+        step, i, message = min(failures)
+        with pytest.raises(RuntimeError) as info:
+            run_detailed(legs)
+        assert str(info.value) == f"training diverged at step {step} in group leg {i}: {message}"
 
     def test_shared_fields_are_config_fields(self):
         assert set(GROUP_FIELDS) <= {f.name for f in fields(RunConfig)}
