@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .aggregate import gaf_aggregate
-from .data import STRATIFIED, DataConfig
+from .data import DataConfig
 from .models import MLP1, SOFTMAX_LINEAR, ModelSpec, init_params, loss_and_grad
 from . import sim
 from .sim import AGG_AVERAGING, AGG_GAF, RunConfig, group_key
@@ -131,15 +131,22 @@ def _build(cls, where: str, **kwargs):
         raise ConfigError(f"{where}: {exc}") from None
 
 
+def _template(sections: dict[str, dict]) -> RunConfig:
+    """The RunConfig of each section's checked kwargs; range errors name the section."""
+    return _build(RunConfig, "run", model=_build(ModelSpec, "run.model", **sections["run.model"]),
+                  data=_build(DataConfig, "run.data", **sections["run.data"]), **sections["run"])
+
+
 def load_experiment(obj, overrides: dict | None = None, command: str = "run") -> dict:
     """Validate a raw config object, with overrides laid over it, into a
     template RunConfig ("run") plus sweep, output_dir, and seeds.
 
     overrides maps a section ("top-level config", "run", "run.model",
     "run.data") to {key: value}; None values are ignored. For the sweep
-    command a u_values axis replaces run.u in every cell, and each cell is
-    checked with its own u, so the template is checked with the smallest u
-    that its sampling admits instead of run.u."""
+    command the axis's values replace one key in every cell, and each cell
+    is checked with its own value (_sweep_cells), so the template is checked
+    with the first of those values that passes instead of the file's value,
+    which is used only when none passes (a cell's error then names it)."""
     if not isinstance(obj, dict):
         raise ConfigError("top-level config must be an object")
     over = overrides or {}
@@ -155,11 +162,31 @@ def load_experiment(obj, overrides: dict | None = None, command: str = "run") ->
         data.setdefault(key, model[key])
     run = _kwargs(run_sec, "run")
     sweep = None if top.get("sweep") is None else _section(top["sweep"], "sweep", _SWEEP_AXES)
-    if command == "sweep" and sweep is not None and sweep.get("u_values") is not None:
-        stratified = run.get("sampling", RunConfig.sampling) == STRATIFIED
-        run["u"] = model["num_classes"] if stratified else 1
-    template = _build(RunConfig, "run", model=_build(ModelSpec, "run.model", **model),
-                      data=_build(DataConfig, "run.data", **data), **run)
+    sections = {"run.model": model, "run.data": data, "run": run}
+    template = None
+    if command == "sweep":
+        if sweep is None:
+            raise ConfigError("sweep section is required for the sweep command")
+        present = [k for k in _SWEEP_AXES if sweep.get(k) is not None]
+        if len(present) != 1:
+            raise ConfigError(f"sweep needs exactly one of {', '.join(_SWEEP_AXES)}")
+        axis = present[0]
+        values = sweep[axis]
+        if axis == "tau_grid" and values == []:
+            values = list(DEFAULT_TAU_GRID)
+        if not isinstance(values, list) or not values:
+            raise ConfigError(f"sweep.{axis} must be a nonempty list")
+        sweep = {axis: values}
+        where, key = _SWEEP_AXES[axis]
+        for value in values:
+            try:
+                typed = _typed(value, table[where][key][0], f"sweep.{axis}")
+                template = _template({**sections, where: {**sections[where], key: typed}})
+                break
+            except ConfigError:  # the value's own cell reports it (_sweep_cells)
+                continue
+    if template is None:
+        template = _template(sections)
 
     seeds = top.get("seeds", [0])
     if not isinstance(seeds, list) or not seeds:
@@ -212,18 +239,7 @@ def cmd_run(exp: dict) -> int:
 
 def _sweep_cells(exp: dict) -> tuple[str, list[tuple[object, RunConfig]]]:
     """The sweep axis and one validated (value, RunConfig) template per value."""
-    sweep = exp["sweep"]
-    if sweep is None:
-        raise ConfigError("sweep section is required for the sweep command")
-    present = [k for k in _SWEEP_AXES if sweep.get(k) is not None]
-    if len(present) != 1:
-        raise ConfigError(f"sweep needs exactly one of {', '.join(_SWEEP_AXES)}")
-    axis = present[0]
-    values = sweep[axis]
-    if axis == "tau_grid" and values == []:
-        values = list(DEFAULT_TAU_GRID)
-    if not isinstance(values, list) or not values:
-        raise ConfigError(f"sweep.{axis} must be a nonempty list")
+    (axis, values), = exp["sweep"].items()  # load_experiment's sweep check leaves one axis
     where, key = _SWEEP_AXES[axis]
     want = _key_table()[where][key][0]
     template = exp["run"]
@@ -308,20 +324,18 @@ def cmd_check() -> int:
         spec = ModelSpec(kind=kind, input_dim=6, num_classes=4, hidden_dim=5,
                          activation=act, init_sigma=0.5, init_seed=int(rng.integers(1 << 30)))
         params = init_params(spec)
-        x = rng.normal(size=(8, 6))
-        y = rng.integers(0, 4, size=8)
-        _, grad = loss_and_grad(params, x, y, spec, weight_decay=0.01)
-        worst = 0.0
+        x = rng.normal(size=(1, 8, 6))
+        y = rng.integers(0, 4, size=(1, 8))
+        # rows: the base vector, then each of 25 coordinates moved by +h, then by -h
+        idx = rng.choice(params.size, size=25, replace=False)
         h = 1e-5
-        for idx in rng.choice(params.size, size=25, replace=False):
-            hi_params, lo_params = params.copy(), params.copy()
-            hi_params[idx] += h
-            lo_params[idx] -= h
-            hi, _ = loss_and_grad(hi_params, x, y, spec, weight_decay=0.01)
-            lo, _ = loss_and_grad(lo_params, x, y, spec, weight_decay=0.01)
-            fd = (hi - lo) / (2 * h)
-            denom = max(abs(fd), abs(grad[idx]), 1e-8)
-            worst = max(worst, abs(fd - grad[idx]) / denom)
+        rows = np.tile(params, (51, 1))
+        rows[np.arange(1, 26), idx] += h
+        rows[np.arange(26, 51), idx] -= h
+        losses, grads = loss_and_grad(rows, x, y, spec, np.full(51, 0.01))
+        fd = (losses[1:26, 0] - losses[26:, 0]) / (2 * h)
+        grad = grads[0, 0, idx]
+        worst = float((abs(fd - grad) / np.maximum(np.maximum(abs(fd), abs(grad)), 1e-8)).max())
         line = f"gradcheck {kind}/{act}: max rel err {worst:.2e}"
         if worst < 1e-5:
             print(f"PASS {line}")

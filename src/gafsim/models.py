@@ -119,35 +119,27 @@ def loss_and_grad(
     features: np.ndarray,
     labels: np.ndarray,
     spec: ModelSpec,
-    weight_decay: float | np.ndarray = 0.0,
-) -> tuple[float | np.ndarray, np.ndarray]:
-    """Mean cross-entropy plus (weight_decay/2) * ||weights||^2, with its gradient.
+    weight_decay: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean cross-entropy plus (weight_decay/2) * ||weights||^2, with its gradient,
+    of (L, P) params, one vector per row, each with its own (L,) weight_decay,
+    on k microbatches, (k, u, d) features and (k, u) labels. Gives (L, k) losses
+    and (L, k, P) gradients flattened in parameter order; any other shape is a
+    ValueError. Row [l, i] is bit-identical to the call on params[l:l+1] and
+    microbatch i alone: every product and reduction runs per row and microbatch.
 
-    The decay term covers weight matrices only, never biases, and is folded
-    into the gradient so every micro-gradient already carries regularization.
-
-    (P,) params with (u, d) features and (u,) labels give (loss, gradient
-    flattened in parameter order). Stacked (k, u, d) features with (k, u)
-    labels evaluate k microbatches in one pass and give ((k,) losses, (k, P)
-    gradients). (L, P) params, one parameter vector per row, evaluate every
-    row on the same microbatches and put a leading L axis on both results,
-    ((L, k) losses and (L, k, P) gradients for stacked features);
-    weight_decay is then a scalar or one value per row. Row [l, i] is
-    bit-identical to the call on params[l] and microbatch i alone: every
-    reduction and matrix product runs per row and microbatch, in the same
-    order.
+    The decay covers weight matrices only, never biases, and is folded into
+    the gradient so every micro-gradient already carries regularization.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
-    stacked, stacked_params = features.ndim == 3, params.ndim == 2
-    if not stacked:
-        features, labels = features[None], labels[None]
-    if not stacked_params:
-        params = params[None]
+    decay = np.asarray(weight_decay, dtype=np.float64)
+    if params.ndim != 2:
+        raise ValueError(f"params of shape {params.shape}, expected (L, P) rows")
     if features.ndim != 3 or features.shape[0] == 0 or features.shape[1] == 0:
-        raise ValueError("batch must be a nonempty 2-D (or stacked 3-D) feature array")
+        raise ValueError(f"features of shape {features.shape}, expected nonempty (k, u, d)")
     if labels.shape != features.shape[:2]:
-        raise ValueError("features and labels disagree on batch size")
+        raise ValueError(f"labels of shape {labels.shape} disagree with {features.shape} features")
     k, n, d = features.shape
     if d != spec.input_dim:
         raise ValueError(f"feature dim {d} does not match spec.input_dim {spec.input_dim}")
@@ -155,10 +147,9 @@ def loss_and_grad(
     if labels.min() < 0 or labels.max() >= c:
         raise ValueError(f"labels must be in [0, {c})")
     n_rows = params.shape[0]
-    decay = np.asarray(weight_decay, dtype=np.float64)
-    if decay.shape not in ((), (n_rows,)):
+    if decay.shape != (n_rows,):
         raise ValueError(f"weight_decay of shape {decay.shape} for {n_rows} parameter rows")
-    decay = decay.reshape(-1, 1)
+    decay = decay[:, None]
     # flat index of each row's label entry in an (L, k, n, c) array
     picks = (np.arange(0, n_rows * k * n * c, c).reshape(n_rows, -1) + labels.ravel()).ravel()
 
@@ -198,11 +189,7 @@ def loss_and_grad(
 
     if not np.isfinite(losses).all() or not np.isfinite(grad).all():
         raise ValueError("non-finite loss or gradient")
-    if not stacked:
-        losses, grad = losses[:, 0], grad[:, 0]
-    if not stacked_params:
-        losses, grad = losses[0], grad[0]
-    return (losses if stacked or stacked_params else float(losses)), grad
+    return losses, grad
 
 
 def _predict_chunk_rows(layers) -> int:

@@ -4,12 +4,12 @@ A worker is one microbatch gradient evaluation against an immutable
 snapshot of the parameters; there is no wire protocol. Every source of
 randomness (dataset generation, label noise, train/val split, per-step
 sampling, pivot draws, initialization) derives from master_seed through a
-splitmix64 chain, and the k micro-gradients are evaluated in one stacked
-pass whose row i is bit-identical to worker i's gradient evaluated alone,
-so runs are bit-reproducible from master_seed alone. Configs that share
-the data, seed and macrobatch shape run as one group in lockstep, drawing
-each macrobatch and pivot once for all of them and evaluating every leg's
-micro-gradients in one loss_and_grad call per step (run_detailed).
+splitmix64 chain, so runs are bit-reproducible from master_seed alone.
+Configs that share the data, seed and macrobatch shape run as one group in
+lockstep (run_detailed), drawing each macrobatch and pivot once for all of
+them. Each step makes one loss_and_grad call, its one form: the legs'
+(L, P) parameter rows on the (k, u, d) macrobatch, whose row [l, i] is
+bit-identical to leg l's worker i evaluated alone.
 
 The validation split is carved from the generated dataset and always
 scored against clean labels, even when the training labels are noisy.
@@ -149,12 +149,13 @@ def run_detailed(cfgs: Sequence[RunConfig]) -> list[RunResult]:
     The configs must agree on GROUP_FIELDS, so they share the dataset, split,
     init, every macrobatch and every pivot draw: each is built or drawn once
     per group (or per step). At each step one loss_and_grad call on the
-    legs' stacked (L, P) parameters gives every leg's k micro-gradients,
-    leg i's rows byte-equal to its own call; each leg then takes its own
+    legs' (L, P) parameter rows gives every leg's k micro-gradients, leg
+    i's rows byte-equal to its own (1, P) call; each leg then takes its own
     rows, scan, optimizer step and evaluations, so its records and final
     state are byte-equal to its config run alone. Equal configs share one
     leg and one RunResult. A diverging leg fails the group with the step,
-    the leg and the message that a leg-by-leg pass would meet first.
+    the leg and the message that a leg-by-leg pass would meet first: when
+    the group's call fails, each leg makes its own (1, P) call.
     """
     if isinstance(cfgs, RunConfig):
         raise TypeError("run_detailed takes a sequence of RunConfigs; pass [cfg] for one run")
@@ -198,68 +199,73 @@ def run_detailed(cfgs: Sequence[RunConfig]) -> list[RunResult]:
     draws_pivot = any(cfg.aggregator == AGG_GAF and cfg.pivot is None for cfg in legs)
     decay = np.array([cfg.weight_decay for cfg in legs])
 
-    for t in range(1, first.steps + 1):
-        _, features, labels = sample_macrobatch(
-            train, k, first.u, first.sampling, derive_seed(master, _TAG_STEP, t)
-        )
-        drawn = draw_pivot(k, derive_seed(master, _TAG_PIVOT, t)) if draws_pivot else None
-        # every leg's k micro-gradients in one call: losses[i], grads[i] are leg i's
-        try:
-            losses, grads = loss_and_grad(np.array([leg.params for leg in legs.values()]),
-                                          features, labels, spec, decay)
-        except ValueError:
-            # a leg diverged: take one call per leg instead, so the error below names the
-            # leg, and the failure, that a leg-by-leg pass meets first
-            losses = grads = None
-        for i, (cfg, leg) in enumerate(legs.items()):
-            try:
-                leg_losses, leg_grads = (
-                    loss_and_grad(leg.params, features, labels, spec, cfg.weight_decay)
-                    if grads is None else (losses[i], grads[i])
-                )
-                # exact: sum starts at 0, and 0 + x == x as a loss is never -0.0
-                train_loss = sum(leg_losses.tolist()) / k
-
-                if cfg.aggregator == AGG_GAF:
-                    pivot = drawn if cfg.pivot is None else cfg.pivot
-                    outcome = gaf_aggregate(leg_grads, cfg.tau, pivot)
-                    distances, accepted, gradient = (
-                        outcome.pairwise_distances, outcome.accepted_count, outcome.gradient
-                    )
-                else:
-                    distances, accepted, gradient = (running_scan_distances(leg_grads), k,
-                                                     average(leg_grads))
-                skipped = gradient is None
-                if skipped:
-                    leg.opt = skip_step(leg.opt)
-                else:
-                    leg.params, leg.opt = sgd_step(leg.params, gradient, leg.opt)
-            except ValueError as exc:
-                where = "" if len(legs) == 1 else f" in group leg {i}"
-                raise RuntimeError(f"training diverged at step {t}{where}: {exc}") from exc
-
-            scheduled = not skipped and leg.opt.step_count % cfg.eval_every == 0
-            train_acc = val_acc = None
-            # the final step is always scored for summaries, but only a scheduled
-            # evaluation feeds the plateau scheduler
-            if scheduled or t == first.steps:
-                train_acc = accuracy(leg.params, train.features, train.labels, spec)
-                val_acc = accuracy(leg.params, val_x, val_y, spec)
-            if scheduled:
-                leg.opt = plateau_update(leg.opt, val_acc)
-
-            leg.records.append(
-                StepRecord(
-                    step=t,
-                    train_loss=train_loss,
-                    cos_distances=distances,
-                    accepted_count=accepted,
-                    skipped=skipped,
-                    lr=leg.opt.lr,
-                    train_acc=train_acc,
-                    val_acc=val_acc,
-                )
+    # a diverging run overflows (weights' squares, a dot product) before a guard in
+    # loss_and_grad or gradvec.dot raises for it: that raise is all it prints (set once
+    # per group, as an errstate per loss_and_grad call measured slower)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, first.steps + 1):
+            _, features, labels = sample_macrobatch(
+                train, k, first.u, first.sampling, derive_seed(master, _TAG_STEP, t)
             )
+            drawn = draw_pivot(k, derive_seed(master, _TAG_PIVOT, t)) if draws_pivot else None
+            # every leg's k micro-gradients in one call: losses[i], grads[i] are leg i's
+            try:
+                losses, grads = loss_and_grad(np.array([leg.params for leg in legs.values()]),
+                                              features, labels, spec, decay)
+            except ValueError:
+                # a leg diverged: take one call per leg instead, so the error below names the
+                # leg, and the failure, that a leg-by-leg pass meets first
+                losses = grads = None
+            for i, (cfg, leg) in enumerate(legs.items()):
+                try:
+                    # the leg's (1, k) losses and (1, k, P) gradients, unpacked to their one row
+                    (leg_losses,), (leg_grads,) = (
+                        loss_and_grad(leg.params[None], features, labels, spec, decay[i:i + 1])
+                        if grads is None else (losses[i:i + 1], grads[i:i + 1])
+                    )
+                    # exact: sum starts at 0, and 0 + x == x as a loss is never -0.0
+                    train_loss = sum(leg_losses.tolist()) / k
+
+                    if cfg.aggregator == AGG_GAF:
+                        pivot = drawn if cfg.pivot is None else cfg.pivot
+                        outcome = gaf_aggregate(leg_grads, cfg.tau, pivot)
+                        distances, accepted, gradient = (
+                            outcome.pairwise_distances, outcome.accepted_count, outcome.gradient
+                        )
+                    else:
+                        distances, accepted, gradient = (running_scan_distances(leg_grads), k,
+                                                         average(leg_grads))
+                    skipped = gradient is None
+                    if skipped:
+                        leg.opt = skip_step(leg.opt)
+                    else:
+                        leg.params, leg.opt = sgd_step(leg.params, gradient, leg.opt)
+                except ValueError as exc:
+                    where = "" if len(legs) == 1 else f" in group leg {i}"
+                    raise RuntimeError(f"training diverged at step {t}{where}: {exc}") from exc
+
+                scheduled = not skipped and leg.opt.step_count % cfg.eval_every == 0
+                train_acc = val_acc = None
+                # the final step is always scored for summaries, but only a scheduled
+                # evaluation feeds the plateau scheduler
+                if scheduled or t == first.steps:
+                    train_acc = accuracy(leg.params, train.features, train.labels, spec)
+                    val_acc = accuracy(leg.params, val_x, val_y, spec)
+                if scheduled:
+                    leg.opt = plateau_update(leg.opt, val_acc)
+
+                leg.records.append(
+                    StepRecord(
+                        step=t,
+                        train_loss=train_loss,
+                        cos_distances=distances,
+                        accepted_count=accepted,
+                        skipped=skipped,
+                        lr=leg.opt.lr,
+                        train_acc=train_acc,
+                        val_acc=val_acc,
+                    )
+                )
 
     return [legs[cfg] for cfg in cfgs]
 

@@ -128,10 +128,10 @@ def read_records(path) -> list[StepRecord]:
             check, wanted = RECORD_FIELDS[name]
             if not check(value):
                 raise ValueError(f"{path}:{lineno}: field {name!r} must be {wanted}, got {value!r}")
-        try:
-            records.append(StepRecord(**obj))
-        except TypeError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        missing = [name for name in RECORD_FIELDS if name not in obj]
+        if missing:
+            raise ValueError(f"{path}:{lineno}: missing record fields {missing}")
+        records.append(StepRecord(**obj))
     return records
 
 

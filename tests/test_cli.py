@@ -199,6 +199,22 @@ class TestRunCommand:
         assert "diverged" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("lr,weight_decay,step", [(1e8, 0.1, 23), (1e300, 0.0, 2)],
+                             ids=["decay", "no-decay"])
+    def test_diverging_run_prints_one_error_line(self, tmp_path, lr, weight_decay, step):
+        # the weights grow until their squares overflow (at weight_decay 0 the penalty is
+        # then 0 * inf); a fresh process, so numpy's own warnings would reach stderr too
+        cfg = minimal_config(tmp_path, steps=60, lr=lr, weight_decay=weight_decay,
+                             momentum=0.0)
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run([sys.executable, "-m", "gafsim", "run", "--config", str(cfg)],
+                              cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr == (f"error: training diverged at step {step}: "
+                               "non-finite loss or gradient\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("pivot", ["5", "-1"])
     def test_pivot_out_of_range_is_config_error(self, tmp_path, capsys, pivot):
         cfg = minimal_config(tmp_path)
@@ -342,19 +358,28 @@ class TestSweepCommand:
                                            "k*u=60 exceeds the 32 training rows of 40\n")
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("run,u_values,message", [
+    @pytest.mark.parametrize("run,sweep,cells,message", [
         # 28 white-noise rows leave 21 for training: k*u=24 does not fit, 10 and 20 do
         ({"sampling": "uniform", "u": 12, "val_fraction": 0.25,
-          "data": {"kind": "white_noise", "n": 28}}, [5, 10],
+          "data": {"kind": "white_noise", "n": 28}}, {"u_values": [5, 10]},
+         ["tau0.97_u5_k2_noise0", "tau0.97_u10_k2_noise0"],
          "run: uniform macrobatch k*u=24 exceeds the 21 training rows of 28"),
-        ({"u": 4}, [3, 6], "run: stratified sampling needs u divisible by num_classes (4 % 3 != 0)"),
-    ], ids=["uniform", "stratified"])
+        ({"u": 4}, {"u_values": [3, 6]}, ["tau0.97_u3_k2_noise0", "tau0.97_u6_k2_noise0"],
+         "run: stratified sampling needs u divisible by num_classes (4 % 3 != 0)"),
+        ({"tau": 3.0, "steps": 5, "data": {"kind": "gaussian", "n_per_class": 20}},
+         {"tau_grid": [0.5, 1.0]}, ["tau0.5_u3_k2_noise0", "tau1_u3_k2_noise0"],
+         "run: tau must be in [0, 2]"),
+        ({"steps": 5, "data": {"kind": "gaussian", "n_per_class": 20, "noise_rate": 1.5}},
+         {"noise_rates": [0.0, 0.2]}, ["tau0.97_u3_k2_noise0", "tau0.97_u3_k2_noise0.2"],
+         "run.data: noise_rate must be in [0, 1]"),
+    ], ids=["uniform", "stratified", "tau", "noise_rate"])
     def test_u_sweep_checks_each_cell_not_the_replaced_run_u(self, tmp_path, capsys, run,
-                                                            u_values, message):
-        path = sweep_config(tmp_path, {"u_values": u_values}, **run)
+                                                            sweep, cells, message):
+        # every sweep axis replaces one run key in each cell, checked with the cell's value
+        path = sweep_config(tmp_path, sweep, **run)
         assert main(["sweep", "--config", str(path)]) == 0
         assert {p.name for p in (tmp_path / "out").glob("gaf_*")} == {
-            f"gaf_tau0.97_u{u}_k2_noise0_seed0" for u in u_values}
+            f"gaf_{cell}_seed0" for cell in cells}
         # the run command runs run.u, so it still rejects it
         shutil.rmtree(tmp_path / "out")
         capsys.readouterr()
@@ -522,8 +547,13 @@ class TestConfigErrors:
          "sweep.u_values[1]: stratified sampling needs u divisible by num_classes (4 % 3 != 0)"),
         ({"tau_grid": [0.97, 2.5]}, "sweep.tau_grid[1]: tau must be in [0, 2]"),
         ({"tau_grid": [True]}, "sweep.tau_grid[0]: expected float, got true"),
+        # a bad first value is named as its cell, not as the run key it replaces
+        ({"tau_grid": [2.5, 0.97]}, "sweep.tau_grid[0]: tau must be in [0, 2]"),
+        ({"noise_rates": [1.5]}, "sweep.noise_rates[0]: noise_rate must be in [0, 1]"),
+        ({"u_values": [4, 3]},
+         "sweep.u_values[0]: stratified sampling needs u divisible by num_classes (4 % 3 != 0)"),
     ], ids=["noise-range", "noise-str", "u-float", "u-zero", "u-classes", "tau-range",
-            "tau-bool"])
+            "tau-bool", "first-tau-range", "first-noise-range", "first-u-classes"])
     def test_bad_sweep_cell_fails_before_any_run(self, tmp_path, capsys, sweep, message):
         obj = self.base(tmp_path)
         obj["sweep"] = sweep

@@ -16,10 +16,10 @@ from gafsim.data import (
     sample_macrobatch,
     take,
 )
-from gafsim.models import SOFTMAX_LINEAR, ModelSpec, accuracy, init_params, loss_and_grad
+from gafsim.models import SOFTMAX_LINEAR, ModelSpec, accuracy, init_params
 from gafsim.optim import init_optim, sgd_step
 
-from conftest import N_PROPERTY_CASES
+from conftest import N_PROPERTY_CASES, one_row
 
 
 def train_linear(ds, steps=300, lr=1.0):
@@ -28,7 +28,7 @@ def train_linear(ds, steps=300, lr=1.0):
     params = init_params(spec)
     opt = init_optim(lr, 0.0, params.size, 100, 0.1, 1e-6, 1e-4)
     for _ in range(steps):
-        _, grad = loss_and_grad(params, ds.features, ds.labels, spec)
+        _, grad = one_row(params, ds.features, ds.labels, spec)
         params, opt = sgd_step(params, grad, opt)
     return params, spec
 

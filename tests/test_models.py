@@ -16,7 +16,7 @@ from gafsim.models import (
 )
 from gafsim.optim import init_optim, sgd_step
 
-from conftest import N_PROPERTY_CASES
+from conftest import N_PROPERTY_CASES, one_row
 from oracles import finite_difference_grad, single_batch_loss_and_grad
 
 LINEAR = ModelSpec(kind=SOFTMAX_LINEAR, input_dim=6, num_classes=4, init_sigma=0.5, init_seed=1)
@@ -89,7 +89,7 @@ class TestLossAndGrad:
         spec = ModelSpec(kind=SOFTMAX_LINEAR, input_dim=6, num_classes=4, init_sigma=0.0)
         params = init_params(spec)
         x, y = random_batch(rng, spec)
-        loss, grad = loss_and_grad(params, x, y, spec)
+        loss, grad = one_row(params, x, y, spec)
         assert loss == pytest.approx(math.log(4), abs=1e-12)
         # bias gradient at zero params: uniform softmax minus label frequency
         gb = grad[-4:]
@@ -101,10 +101,10 @@ class TestLossAndGrad:
         params = init_params(spec)
         x, y = random_batch(rng, spec)
         wd = 0.01
-        _, grad = loss_and_grad(params, x, y, spec, weight_decay=wd)
+        _, grad = one_row(params, x, y, spec, weight_decay=wd)
 
         def loss_of(vec):
-            return loss_and_grad(vec, x, y, spec, weight_decay=wd)[0]
+            return one_row(vec, x, y, spec, weight_decay=wd)[0]
 
         idx = rng.choice(params.size, size=min(30, params.size), replace=False)
         fd = finite_difference_grad(loss_of, params, idx)
@@ -116,8 +116,8 @@ class TestLossAndGrad:
         for spec in ALL_SPECS:
             params = init_params(spec)
             x, y = random_batch(rng, spec, n=8)
-            loss1, grad1 = loss_and_grad(params, x, y, spec, weight_decay=0.01)
-            loss2, grad2 = loss_and_grad(
+            loss1, grad1 = one_row(params, x, y, spec, weight_decay=0.01)
+            loss2, grad2 = one_row(
                 params, np.vstack([x, x]), np.concatenate([y, y]), spec, weight_decay=0.01
             )
             assert loss1 == pytest.approx(loss2, abs=1e-12)
@@ -125,11 +125,11 @@ class TestLossAndGrad:
 
     def test_empty_batch_errors(self):
         with pytest.raises(ValueError, match="nonempty"):
-            loss_and_grad(init_params(LINEAR), np.zeros((0, 6)), np.zeros(0, dtype=int), LINEAR)
+            one_row(init_params(LINEAR), np.zeros((0, 6)), np.zeros(0, dtype=int), LINEAR)
 
     def test_feature_dim_mismatch_errors(self, rng):
         with pytest.raises(ValueError, match="input_dim"):
-            loss_and_grad(init_params(LINEAR), rng.normal(size=(3, 9)), np.zeros(3, dtype=int), LINEAR)
+            one_row(init_params(LINEAR), rng.normal(size=(3, 9)), np.zeros(3, dtype=int), LINEAR)
 
 
 class TestAccuracy:
@@ -214,9 +214,10 @@ class TestLayout:
         x, y = random_batch(rng, MLP_TANH)
         layout = f"flat vector has {bad.size} entries, expected {params.size}"
         with pytest.raises(ValueError, match=layout):
-            loss_and_grad(bad, x, y, MLP_TANH)
+            one_row(bad, x, y, MLP_TANH)
         with pytest.raises(ValueError, match=layout):
-            loss_and_grad(bad, np.stack([x, x]), np.stack([y, y]), MLP_TANH)
+            loss_and_grad(np.stack([bad, bad]), np.stack([x, x]), np.stack([y, y]), MLP_TANH,
+                          np.zeros(2))
         with pytest.raises(ValueError, match=layout):
             predict(bad, x, MLP_TANH)
         with pytest.raises(ValueError, match=layout):
@@ -229,25 +230,31 @@ class TestLayout:
 
 
 class TestStacked:
-    """(k, u, d) features evaluate k microbatches in one call."""
+    """loss_and_grad's one form: (L, P) params on (k, u, d) features with (L,) decay."""
 
     def test_label_out_of_range_errors(self, rng):
         x, y = random_batch(rng, LINEAR)
         for bad in (-1, LINEAR.num_classes):
             y[0] = bad
             with pytest.raises(ValueError, match="labels"):
-                loss_and_grad(init_params(LINEAR), x, y, LINEAR)
+                one_row(init_params(LINEAR), x, y, LINEAR)
 
-    def test_weight_decay_needs_one_value_per_parameter_row(self, rng):
-        params = np.stack([init_params(LINEAR)] * 2)
-        x, y = random_batch(rng, LINEAR)
-        with pytest.raises(ValueError, match=r"weight_decay of shape \(3,\) for 2 parameter rows"):
-            loss_and_grad(params, x, y, LINEAR, weight_decay=np.zeros(3))
+    @pytest.mark.parametrize("params,features,decay,message", [
+        ((28,), (2, 5, 6), (1,), r"params of shape \(28,\), expected \(L, P\) rows"),
+        ((1, 28), (5, 6), (1,), r"features of shape \(5, 6\), expected nonempty \(k, u, d\)"),
+        ((2, 28), (2, 5, 6), (), r"weight_decay of shape \(\) for 2 parameter rows"),
+        ((2, 28), (2, 5, 6), (3,), r"weight_decay of shape \(3,\) for 2 parameter rows"),
+    ], ids=["1-d-params", "2-d-features", "scalar-decay", "decay-per-row-plus-one"])
+    def test_other_shapes_are_rejected(self, params, features, decay, message):
+        labels = np.zeros(features[:-1], dtype=int)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            loss_and_grad(np.zeros(params), np.zeros(features), labels, LINEAR, np.zeros(decay))
 
     def test_stacked_label_shape_mismatch_errors(self, rng):
         x = rng.normal(size=(2, 5, 6))
         with pytest.raises(ValueError, match="disagree"):
-            loss_and_grad(init_params(LINEAR), x, np.zeros((2, 4), dtype=int), LINEAR)
+            loss_and_grad(init_params(LINEAR)[None], x, np.zeros((2, 4), dtype=int), LINEAR,
+                          np.zeros(1))
 
     def test_negative_zero_cross_entropy_reads_as_zero(self):
         # one dominant logit: every picked log-probability is exactly 0.0, so
@@ -261,10 +268,11 @@ class TestStacked:
         log_p = models._log_softmax(x @ w.T + b)
         ce = -log_p[np.arange(5), y].mean()
         assert ce == 0.0 and math.copysign(1.0, ce) == -1.0
-        loss, _ = loss_and_grad(params, x, y, spec)
+        loss, _ = one_row(params, x, y, spec)
         assert math.copysign(1.0, loss) == 1.0
-        losses, _ = loss_and_grad(params, np.stack([x, x]), np.stack([y, y]), spec)
-        assert [math.copysign(1.0, v) for v in losses] == [1.0, 1.0]
+        losses, _ = loss_and_grad(np.stack([params, params]), np.stack([x, x]), np.stack([y, y]),
+                                  spec, np.zeros(2))
+        assert [math.copysign(1.0, v) for v in losses.ravel()] == [1.0] * 4
 
 
 @pytest.mark.properties
@@ -286,10 +294,10 @@ class TestProperties:
                 params = init_params(spec)
                 x, y = random_batch(rng, spec, n=int(rng.integers(1, 10)))
                 wd = float(rng.choice([0.0, 0.01, 0.1]))
-                _, grad = loss_and_grad(params, x, y, spec, weight_decay=wd)
+                _, grad = one_row(params, x, y, spec, weight_decay=wd)
 
                 def loss_of(vec, spec=spec, x=x, y=y, wd=wd):
-                    return loss_and_grad(vec, x, y, spec, weight_decay=wd)[0]
+                    return one_row(vec, x, y, spec, weight_decay=wd)[0]
 
                 idx = rng.choice(params.size, size=min(5, params.size), replace=False)
                 for i, val in finite_difference_grad(loss_of, params, idx).items():
@@ -309,7 +317,7 @@ class TestProperties:
             )
             params = init_params(spec)
             x, y = random_batch(rng, spec, n=int(rng.integers(1, 16)))
-            loss, _ = loss_and_grad(params, x, y, spec, weight_decay=0.0)
+            loss, _ = one_row(params, x, y, spec, weight_decay=0.0)
             assert loss >= 0.0
 
     def test_macrobatch_gradient_is_mean_of_micro(self, rng):
@@ -328,19 +336,19 @@ class TestProperties:
             u = int(rng.integers(1, 6))
             x, y = random_batch(rng, spec, n=k * u)
             wd = float(rng.choice([0.0, 0.01]))
-            _, union_grad = loss_and_grad(params, x, y, spec, weight_decay=wd)
+            _, union_grad = one_row(params, x, y, spec, weight_decay=wd)
             micro = [
-                loss_and_grad(params, x[i * u : (i + 1) * u], y[i * u : (i + 1) * u], spec,
-                              weight_decay=wd)[1]
+                one_row(params, x[i * u : (i + 1) * u], y[i * u : (i + 1) * u], spec,
+                        weight_decay=wd)[1]
                 for i in range(k)
             ]
             assert np.allclose(sum(micro) / k, union_grad, atol=1e-10)
 
     def test_stacked_equals_single_calls_bytewise(self, rng):
         # both kinds and activations, k 1-5, u 1-30, weight decay 0 and > 0;
-        # each row must match the 2-D call and the 2-D reference arithmetic,
-        # and with a leading axis of 1-4 parameter rows (legs), each with its
-        # own weight decay or one shared, each leg's rows must match that leg's own call
+        # each [l, i] row of a call on one or on 1-4 parameter rows (legs), each
+        # with its own weight decay or (every fourth case) one value for all legs,
+        # must match that row's own (1, P) x (1, u, d) call and the 2-D reference arithmetic
         for case in range(N_PROPERTY_CASES):
             base = ALL_SPECS[case % len(ALL_SPECS)]
             spec = ModelSpec(
@@ -358,24 +366,20 @@ class TestProperties:
             x = rng.normal(size=(k, u, spec.input_dim))
             y = rng.integers(0, spec.num_classes, size=(k, u))
             wd = float(rng.choice([0.0, 1e-3, 0.1]))
-            losses, grads = loss_and_grad(params, x, y, spec, weight_decay=wd)
-            assert losses.shape == (k,) and grads.shape == (k, params.size)
-            for i in range(k):
-                loss, grad = loss_and_grad(params, x[i], y[i], spec, weight_decay=wd)
-                ref_loss, ref_grad = single_batch_loss_and_grad(params, x[i], y[i], spec, wd)
-                assert losses[i] == loss == ref_loss
-                assert grads[i].tobytes() == grad.tobytes() == ref_grad.tobytes()
             n_legs = int(rng.integers(1, 5))
             leg_params = np.stack([params] + [params + rng.normal(size=params.size)
                                               for _ in range(n_legs - 1)])
-            # one weight decay per leg, or (every fourth case) one for all legs
-            leg_wd = rng.choice([0.0, 1e-3, 0.1], size=n_legs) if case % 4 else wd
-            leg_losses, leg_grads = loss_and_grad(leg_params, x, y, spec, weight_decay=leg_wd)
-            assert leg_losses.shape == (n_legs, k) and leg_grads.shape == (n_legs, k, params.size)
-            for leg, leg_decay in enumerate(np.broadcast_to(leg_wd, n_legs).tolist()):
-                losses, grads = loss_and_grad(leg_params[leg], x, y, spec, weight_decay=leg_decay)
-                assert leg_losses[leg].tobytes() == losses.tobytes()
-                assert leg_grads[leg].tobytes() == grads.tobytes()
+            leg_wd = (rng.choice([0.0, 1e-3, 0.1], size=n_legs) if case % 4
+                      else np.full(n_legs, wd))
+            for rows, decay in ((params[None], np.array([wd])), (leg_params, leg_wd)):
+                losses, grads = loss_and_grad(rows, x, y, spec, decay)
+                assert losses.shape == (len(rows), k) and grads.shape == (len(rows), k, params.size)
+                for leg, i in np.ndindex(len(rows), k):
+                    loss, grad = one_row(rows[leg], x[i], y[i], spec, decay[leg])
+                    ref_loss, ref_grad = single_batch_loss_and_grad(rows[leg], x[i], y[i], spec,
+                                                                    decay[leg])
+                    assert losses[leg, i] == loss == ref_loss
+                    assert grads[leg, i].tobytes() == grad.tobytes() == ref_grad.tobytes()
 
     def test_layer_views_are_writable_views_into_the_vector(self, rng):
         for _ in range(N_PROPERTY_CASES):

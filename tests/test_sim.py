@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gafsim.data import DataConfig, sample_macrobatch
-from gafsim.models import MLP1, SOFTMAX_LINEAR, ModelSpec, init_params, loss_and_grad
+from gafsim.models import MLP1, SOFTMAX_LINEAR, ModelSpec, init_params
 from gafsim.sim import (
     _TAG_INIT,
     _TAG_STEP,
@@ -19,7 +19,7 @@ from gafsim.telemetry import write_records
 
 from dataclasses import fields, replace
 
-from conftest import N_PROPERTY_CASES
+from conftest import N_PROPERTY_CASES, one_row
 from records_digest import run_digest
 
 DATA = DataConfig(kind="gaussian", num_classes=5, input_dim=8, n_per_class=60,
@@ -308,7 +308,7 @@ class TestSnapshotConsistency:
                                                 derive_seed(cfg.master_seed, _TAG_STEP, 1))
         losses = []
         for x, y in zip(features, labels):
-            loss, _ = loss_and_grad(params, x, y, spec, cfg.weight_decay)
+            loss, _ = one_row(params, x, y, spec, cfg.weight_decay)
             losses.append(loss)
         expected = losses[0]
         for v in losses[1:]:
@@ -327,7 +327,7 @@ class TestSnapshotConsistency:
                                                 derive_seed(cfg.master_seed, _TAG_STEP, 1))
         union_x = features.reshape(-1, features.shape[-1])
         union_y = labels.reshape(-1)
-        _, union_grad = loss_and_grad(params, union_x, union_y, spec, cfg.weight_decay)
+        _, union_grad = one_row(params, union_x, union_y, spec, cfg.weight_decay)
         assert np.allclose(applied, union_grad, atol=1e-10)
 
 

@@ -76,7 +76,10 @@ class TestSerialization:
 
     @pytest.mark.parametrize("line, message", [
         ('{"step": 3,', "invalid JSON"),
-        ('{"step": 3}', "missing 1 required positional argument: 'train_loss'"),
+        ('{"step": 3}', "missing record fields ['train_loss', 'cos_distances', 'accepted_count', "
+                        "'skipped', 'lr', 'train_acc', 'val_acc']"),
+        ('{"step": 3, "train_loss": 0.5, "cos_distances": [0.1], "accepted_count": 2, '
+         '"skipped": false, "train_acc": null, "val_acc": null}', "missing record fields ['lr']"),
         ("[3, 0.5]", "expected a JSON object, got list"),
         ('{"step": 3, "train_loss": 0.5, "pivot": 0}', "unknown record fields ['pivot']"),
         ('{"step": "x", "train_loss": 0.5}', "field 'step' must be an integer, got 'x'"),
