@@ -332,7 +332,8 @@ def cmd_check() -> int:
         rows = np.tile(params, (51, 1))
         rows[np.arange(1, 26), idx] += h
         rows[np.arange(26, 51), idx] -= h
-        losses, grads = loss_and_grad(rows, x, y, spec, np.full(51, 0.01))
+        grads = np.empty((51, 1, params.size))
+        losses = loss_and_grad(rows, x, y, spec, np.full(51, 0.01), grads)
         fd = (losses[1:26, 0] - losses[26:, 0]) / (2 * h)
         grad = grads[0, 0, idx]
         worst = float((abs(fd - grad) / np.maximum(np.maximum(abs(fd), abs(grad)), 1e-8)).max())

@@ -120,13 +120,16 @@ def loss_and_grad(
     labels: np.ndarray,
     spec: ModelSpec,
     weight_decay: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+    grad: np.ndarray,
+) -> np.ndarray:
     """Mean cross-entropy plus (weight_decay/2) * ||weights||^2, with its gradient,
     of (L, P) params, one vector per row, each with its own (L,) weight_decay,
-    on k microbatches, (k, u, d) features and (k, u) labels. Gives (L, k) losses
-    and (L, k, P) gradients flattened in parameter order; any other shape is a
-    ValueError. Row [l, i] is bit-identical to the call on params[l:l+1] and
-    microbatch i alone: every product and reduction runs per row and microbatch.
+    on k microbatches, (k, u, d) features and (k, u) labels. Returns (L, k)
+    losses and writes the gradients, flattened in parameter order, into the
+    caller's (L, k, P) float64 C-contiguous block `grad`; any other shape, or a
+    block of another dtype or layout, is a ValueError. Row [l, i] is
+    bit-identical to the call on params[l:l+1] and microbatch i alone: every
+    product and reduction runs per row and microbatch.
 
     The decay covers weight matrices only, never biases, and is folded into
     the gradient so every micro-gradient already carries regularization.
@@ -149,6 +152,14 @@ def loss_and_grad(
     n_rows = params.shape[0]
     if decay.shape != (n_rows,):
         raise ValueError(f"weight_decay of shape {decay.shape} for {n_rows} parameter rows")
+    if grad.shape != (n_rows, k, params.shape[1]):
+        raise ValueError(f"gradient block of shape {grad.shape}, expected "
+                         f"{(n_rows, k, params.shape[1])}")
+    if grad.dtype != np.float64:
+        raise ValueError(f"gradient block of dtype {grad.dtype}, expected float64")
+    if not grad.flags.c_contiguous:
+        raise ValueError(f"gradient block with strides {grad.strides}, expected C-contiguous")
+    decays = decay.any()
     decay = decay[:, None]
     # flat index of each row's label entry in an (L, k, n, c) array
     picks = (np.arange(0, n_rows * k * n * c, c).reshape(n_rows, -1) + labels.ravel()).ravel()
@@ -156,7 +167,6 @@ def loss_and_grad(
     shapes = spec.layer_shapes()
     # (L, 1, rows, cols) weights: each row's parameters meet all k microbatches
     layers = _layer_views(params[:, None], shapes)
-    grad = np.empty((n_rows, k, params.shape[-1]))
     views = _layer_views(grad, shapes)
     pre, last_in, logits = _forward(layers, features, spec)
     w = layers[-1][0]
@@ -167,7 +177,10 @@ def loss_and_grad(
     dlogits /= n
     gw, gb = views[-1]
     np.matmul(dlogits.swapaxes(-1, -2), last_in, out=gw)
-    gw += decay[..., None, None] * w
+    # a matmul sums from +0.0, so it never yields -0.0, and adding a zero decay's
+    # +-0.0 changes no bit: the multiply-adds run only when some row has decay
+    if decays:
+        gw += decay[..., None, None] * w
     dlogits.sum(axis=-2, out=gb)
     reg = (w * w).reshape(n_rows, -1).sum(axis=-1)
     if spec.kind == MLP1:
@@ -180,16 +193,17 @@ def loss_and_grad(
         w1 = layers[0][0]
         gw1, gb1 = views[0]
         np.matmul(dpre.swapaxes(-1, -2), features, out=gw1)
-        gw1 += decay[..., None, None] * w1
+        if decays:
+            gw1 += decay[..., None, None] * w1
         dpre.sum(axis=-2, out=gb1)
         reg = (w1 * w1).reshape(n_rows, -1).sum(axis=-1) + reg
     # the add also runs at weight_decay 0: it turns a -0.0 cross-entropy into 0.0,
-    # and a non-finite reg into a non-finite loss
+    # and a non-finite reg (a non-finite weight) into a non-finite loss
     losses = ce + 0.5 * decay * reg[:, None]
 
     if not np.isfinite(losses).all() or not np.isfinite(grad).all():
         raise ValueError("non-finite loss or gradient")
-    return losses, grad
+    return losses
 
 
 def _predict_chunk_rows(layers) -> int:

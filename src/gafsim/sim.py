@@ -8,8 +8,9 @@ splitmix64 chain, so runs are bit-reproducible from master_seed alone.
 Configs that share the data, seed and macrobatch shape run as one group in
 lockstep (run_detailed), drawing each macrobatch and pivot once for all of
 them. Each step makes one loss_and_grad call, its one form: the legs'
-(L, P) parameter rows on the (k, u, d) macrobatch, whose row [l, i] is
-bit-identical to leg l's worker i evaluated alone.
+(L, P) parameter rows on the (k, u, d) macrobatch, writing into the group's
+one (L, k, P) gradient block, whose row [l, i] is bit-identical to leg l's
+worker i evaluated alone.
 
 The validation split is carved from the generated dataset and always
 scored against clean labels, even when the training labels are noisy.
@@ -149,13 +150,15 @@ def run_detailed(cfgs: Sequence[RunConfig]) -> list[RunResult]:
     The configs must agree on GROUP_FIELDS, so they share the dataset, split,
     init, every macrobatch and every pivot draw: each is built or drawn once
     per group (or per step). At each step one loss_and_grad call on the
-    legs' (L, P) parameter rows gives every leg's k micro-gradients, leg
-    i's rows byte-equal to its own (1, P) call; each leg then takes its own
-    rows, scan, optimizer step and evaluations, so its records and final
+    legs' (L, P) parameter rows writes every leg's k micro-gradients into
+    the group's one (L, k, P) block, allocated once, leg i's rows byte-equal
+    to its own (1, P) call; each leg then takes its own rows, scan,
+    optimizer step and evaluations, so its records and final
     state are byte-equal to its config run alone. Equal configs share one
     leg and one RunResult. A diverging leg fails the group with the step,
     the leg and the message that a leg-by-leg pass would meet first: when
-    the group's call fails, each leg makes its own (1, P) call.
+    the group's call fails, each leg makes its own (1, P) call into its row
+    of the block.
     """
     if isinstance(cfgs, RunConfig):
         raise TypeError("run_detailed takes a sequence of RunConfigs; pass [cfg] for one run")
@@ -198,6 +201,9 @@ def run_detailed(cfgs: Sequence[RunConfig]) -> list[RunResult]:
     }
     draws_pivot = any(cfg.aggregator == AGG_GAF and cfg.pivot is None for cfg in legs)
     decay = np.array([cfg.weight_decay for cfg in legs])
+    # every step's gradients land in this one block, so no step frees and re-faults
+    # its pages; leg i's rows are views of it, used only within their step
+    grads = np.empty((len(legs), k, init.size))
 
     # a diverging run overflows (weights' squares, a dot product) before a guard in
     # loss_and_grad or gradvec.dot raises for it: that raise is all it prints (set once
@@ -210,19 +216,18 @@ def run_detailed(cfgs: Sequence[RunConfig]) -> list[RunResult]:
             drawn = draw_pivot(k, derive_seed(master, _TAG_PIVOT, t)) if draws_pivot else None
             # every leg's k micro-gradients in one call: losses[i], grads[i] are leg i's
             try:
-                losses, grads = loss_and_grad(np.array([leg.params for leg in legs.values()]),
-                                              features, labels, spec, decay)
+                losses = loss_and_grad(np.array([leg.params for leg in legs.values()]),
+                                       features, labels, spec, decay, grads)
             except ValueError:
                 # a leg diverged: take one call per leg instead, so the error below names the
                 # leg, and the failure, that a leg-by-leg pass meets first
-                losses = grads = None
+                losses = None
             for i, (cfg, leg) in enumerate(legs.items()):
+                leg_grads = grads[i]
                 try:
-                    # the leg's (1, k) losses and (1, k, P) gradients, unpacked to their one row
-                    (leg_losses,), (leg_grads,) = (
-                        loss_and_grad(leg.params[None], features, labels, spec, decay[i:i + 1])
-                        if grads is None else (losses[i:i + 1], grads[i:i + 1])
-                    )
+                    leg_losses = losses[i] if losses is not None else loss_and_grad(
+                        leg.params[None], features, labels, spec, decay[i:i + 1], grads[i:i + 1]
+                    )[0]
                     # exact: sum starts at 0, and 0 + x == x as a loss is never -0.0
                     train_loss = sum(leg_losses.tolist()) / k
 

@@ -31,6 +31,7 @@ def random_vec(rng, dim=None, lo=1, hi=513):
 def one_row(params, features, labels, spec, weight_decay=0.0):
     """loss_and_grad on one (P,) parameter vector and one (u, d) microbatch, given
     as its (1, P) x (1, u, d) call: (loss, (P,) gradient)."""
-    losses, grads = loss_and_grad(params[None], features[None], labels[None], spec,
-                                  np.array([weight_decay]))
+    grads = np.empty((1, 1, params.size))
+    losses = loss_and_grad(params[None], features[None], labels[None], spec,
+                           np.array([weight_decay]), grads)
     return losses[0, 0], grads[0, 0]

@@ -217,7 +217,7 @@ class TestLayout:
             one_row(bad, x, y, MLP_TANH)
         with pytest.raises(ValueError, match=layout):
             loss_and_grad(np.stack([bad, bad]), np.stack([x, x]), np.stack([y, y]), MLP_TANH,
-                          np.zeros(2))
+                          np.zeros(2), np.empty((2, 2, bad.size)))
         with pytest.raises(ValueError, match=layout):
             predict(bad, x, MLP_TANH)
         with pytest.raises(ValueError, match=layout):
@@ -230,7 +230,8 @@ class TestLayout:
 
 
 class TestStacked:
-    """loss_and_grad's one form: (L, P) params on (k, u, d) features with (L,) decay."""
+    """loss_and_grad's one form: (L, P) params on (k, u, d) features with (L,) decay,
+    writing into an (L, k, P) float64 C-contiguous block."""
 
     def test_label_out_of_range_errors(self, rng):
         x, y = random_batch(rng, LINEAR)
@@ -239,22 +240,50 @@ class TestStacked:
             with pytest.raises(ValueError, match="labels"):
                 one_row(init_params(LINEAR), x, y, LINEAR)
 
-    @pytest.mark.parametrize("params,features,decay,message", [
-        ((28,), (2, 5, 6), (1,), r"params of shape \(28,\), expected \(L, P\) rows"),
-        ((1, 28), (5, 6), (1,), r"features of shape \(5, 6\), expected nonempty \(k, u, d\)"),
-        ((2, 28), (2, 5, 6), (), r"weight_decay of shape \(\) for 2 parameter rows"),
-        ((2, 28), (2, 5, 6), (3,), r"weight_decay of shape \(3,\) for 2 parameter rows"),
-    ], ids=["1-d-params", "2-d-features", "scalar-decay", "decay-per-row-plus-one"])
-    def test_other_shapes_are_rejected(self, params, features, decay, message):
+    @pytest.mark.parametrize("params,features,decay,block,message", [
+        ((28,), (2, 5, 6), (1,), lambda: np.empty((1, 2, 28)),
+         r"params of shape \(28,\), expected \(L, P\) rows"),
+        ((1, 28), (5, 6), (1,), lambda: np.empty((1, 1, 28)),
+         r"features of shape \(5, 6\), expected nonempty \(k, u, d\)"),
+        ((2, 28), (2, 5, 6), (), lambda: np.empty((2, 2, 28)),
+         r"weight_decay of shape \(\) for 2 parameter rows"),
+        ((2, 28), (2, 5, 6), (3,), lambda: np.empty((2, 2, 28)),
+         r"weight_decay of shape \(3,\) for 2 parameter rows"),
+        ((2, 28), (2, 5, 6), (2,), lambda: np.empty((2, 2, 29)),
+         r"gradient block of shape \(2, 2, 29\), expected \(2, 2, 28\)"),
+        ((2, 28), (2, 5, 6), (2,), lambda: np.empty((2, 2, 28), dtype=np.float32),
+         r"gradient block of dtype float32, expected float64"),
+        ((2, 28), (2, 5, 6), (2,), lambda: np.empty((2, 2, 56))[..., ::2],
+         r"gradient block with strides \(896, 448, 16\), expected C-contiguous"),
+    ], ids=["1-d-params", "2-d-features", "scalar-decay", "decay-per-row-plus-one",
+            "block-one-entry-long", "float32-block", "strided-block"])
+    def test_other_shapes_are_rejected(self, params, features, decay, block, message):
         labels = np.zeros(features[:-1], dtype=int)
         with pytest.raises(ValueError, match=f"^{message}$"):
-            loss_and_grad(np.zeros(params), np.zeros(features), labels, LINEAR, np.zeros(decay))
+            loss_and_grad(np.zeros(params), np.zeros(features), labels, LINEAR, np.zeros(decay),
+                          block())
 
     def test_stacked_label_shape_mismatch_errors(self, rng):
         x = rng.normal(size=(2, 5, 6))
         with pytest.raises(ValueError, match="disagree"):
             loss_and_grad(init_params(LINEAR)[None], x, np.zeros((2, 4), dtype=int), LINEAR,
-                          np.zeros(1))
+                          np.zeros(1), np.empty((1, 2, 28)))
+
+    def test_nonfinite_weight_raises_at_zero_decay(self, rng):
+        # an inf first-layer weight saturates its tanh unit, so the cross-entropy and
+        # every gradient stay finite and only the weights' squared norm is not: the
+        # guard must still raise with no decay multiply-add to carry the inf
+        params = init_params(MLP_TANH)
+        x, y = random_batch(rng, MLP_TANH)
+        for weight in (np.inf, -np.inf):
+            bad = params.copy()
+            layers(bad, MLP_TANH)[0][0][0, 0] = weight
+            with np.errstate(invalid="ignore"):
+                _, last_in, logits = models._forward(layers(bad, MLP_TANH), x, MLP_TANH)
+            assert np.isfinite(last_in).all() and np.isfinite(logits).all()
+            with pytest.raises(ValueError, match="^non-finite loss or gradient$"):
+                with np.errstate(invalid="ignore"):
+                    one_row(bad, x, y, MLP_TANH, weight_decay=0.0)
 
     def test_negative_zero_cross_entropy_reads_as_zero(self):
         # one dominant logit: every picked log-probability is exactly 0.0, so
@@ -270,8 +299,8 @@ class TestStacked:
         assert ce == 0.0 and math.copysign(1.0, ce) == -1.0
         loss, _ = one_row(params, x, y, spec)
         assert math.copysign(1.0, loss) == 1.0
-        losses, _ = loss_and_grad(np.stack([params, params]), np.stack([x, x]), np.stack([y, y]),
-                                  spec, np.zeros(2))
+        losses = loss_and_grad(np.stack([params, params]), np.stack([x, x]), np.stack([y, y]),
+                               spec, np.zeros(2), np.empty((2, 2, params.size)))
         assert [math.copysign(1.0, v) for v in losses.ravel()] == [1.0] * 4
 
 
@@ -348,6 +377,7 @@ class TestProperties:
         # both kinds and activations, k 1-5, u 1-30, weight decay 0 and > 0;
         # each [l, i] row of a call on one or on 1-4 parameter rows (legs), each
         # with its own weight decay or (every fourth case) one value for all legs,
+        # or on those legs at decay 0 next to the same legs at decay 0.1,
         # must match that row's own (1, P) x (1, u, d) call and the 2-D reference arithmetic
         for case in range(N_PROPERTY_CASES):
             base = ALL_SPECS[case % len(ALL_SPECS)]
@@ -371,9 +401,14 @@ class TestProperties:
                                               for _ in range(n_legs - 1)])
             leg_wd = (rng.choice([0.0, 1e-3, 0.1], size=n_legs) if case % 4
                       else np.full(n_legs, wd))
-            for rows, decay in ((params[None], np.array([wd])), (leg_params, leg_wd)):
-                losses, grads = loss_and_grad(rows, x, y, spec, decay)
-                assert losses.shape == (len(rows), k) and grads.shape == (len(rows), k, params.size)
+            # every leg twice, at decay exactly 0 and at 0.1: a zero-decay row in a call
+            # that runs the decay multiply-adds must match its own call, which skips them
+            mixed = (np.concatenate([leg_params, leg_params]),
+                     np.concatenate([np.zeros(n_legs), np.full(n_legs, 0.1)]))
+            for rows, decay in ((params[None], np.array([wd])), (leg_params, leg_wd), mixed):
+                grads = np.empty((len(rows), k, params.size))
+                losses = loss_and_grad(rows, x, y, spec, decay, grads)
+                assert losses.shape == (len(rows), k)
                 for leg, i in np.ndindex(len(rows), k):
                     loss, grad = one_row(rows[leg], x[i], y[i], spec, decay[leg])
                     ref_loss, ref_grad = single_batch_loss_and_grad(rows[leg], x[i], y[i], spec,

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from gafsim.data import DataConfig, sample_macrobatch
-from gafsim.models import MLP1, SOFTMAX_LINEAR, ModelSpec, init_params
+from gafsim import sim
+from gafsim.models import MLP1, SOFTMAX_LINEAR, ModelSpec, init_params, loss_and_grad
 from gafsim.sim import (
     _TAG_INIT,
     _TAG_STEP,
@@ -473,6 +474,41 @@ class TestRunGroups:
         with pytest.raises(RuntimeError) as info:
             run_detailed(legs)
         assert str(info.value) == f"training diverged at step {step} in group leg {i}: {message}"
+
+    @staticmethod
+    def record_blocks(monkeypatch):
+        """Patch the loop's loss_and_grad to record each call's row count and block."""
+        calls = []
+
+        def recording(params, features, labels, spec, weight_decay, grad):
+            calls.append((len(params), grad))
+            return loss_and_grad(params, features, labels, spec, weight_decay, grad)
+
+        monkeypatch.setattr(sim, "loss_and_grad", recording)
+        return calls
+
+    def test_every_step_writes_into_one_block(self, monkeypatch):
+        cfg = base_cfg(k=3, steps=20)
+        calls = self.record_blocks(monkeypatch)
+        run_detailed([cfg, replace(cfg, aggregator="gaf", tau=0.9),
+                      replace(cfg, lr=0.05, weight_decay=0.01)])
+        block = calls[0][1]
+        assert len(calls) == 20 and all(rows == 3 and grad is block for rows, grad in calls)
+        assert block.shape == (3, 3, init_params(MODEL).size)
+
+    def test_per_leg_calls_write_into_the_group_block(self, monkeypatch):
+        cfg = base_cfg(steps=60, eval_every=1000, momentum=0.0)
+        # the "loss" leg fails the stacked call at step 23, so legs 0 and 1 call alone
+        legs = [cfg, *(replace(cfg, **self.DIVERGING[name][0]) for name in ("dot", "loss")),
+                replace(cfg, aggregator="gaf")]
+        calls = self.record_blocks(monkeypatch)
+        with pytest.raises(RuntimeError, match="diverged at step 23 in group leg 1"):
+            run_detailed(legs)
+        block = calls[0][1]
+        per_leg = [grad for rows, grad in calls if rows == 1]
+        assert len(per_leg) == 2 and all(grad.shape == (1, 2, block.shape[2]) for grad in per_leg)
+        # leg i writes into row i of the group's block
+        assert all(np.shares_memory(grad, block[i]) for i, grad in enumerate(per_leg))
 
     def test_shared_fields_are_config_fields(self):
         assert set(GROUP_FIELDS) <= {f.name for f in fields(RunConfig)}
