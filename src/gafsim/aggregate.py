@@ -116,7 +116,6 @@ def running_scan_distances(grads: list[np.ndarray] | np.ndarray) -> list[float]:
     """Cosine distances of each gradient against the index-order running sum.
 
     The agreement scan with pivot 0 and the all-admitting threshold 2 (every
-    distance lies in [0, 2]). Used to log pairwise disagreement for
-    plain-averaging runs.
+    distance lies in [0, 2]): the distances a plain-averaging run logs.
     """
     return gaf_aggregate(grads, 2.0, 0).pairwise_distances

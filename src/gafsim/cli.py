@@ -131,22 +131,21 @@ def _build(cls, where: str, **kwargs):
         raise ConfigError(f"{where}: {exc}") from None
 
 
-def _template(sections: dict[str, dict]) -> RunConfig:
-    """The RunConfig of each section's checked kwargs; range errors name the section."""
-    return _build(RunConfig, "run", model=_build(ModelSpec, "run.model", **sections["run.model"]),
-                  data=_build(DataConfig, "run.data", **sections["run.data"]), **sections["run"])
+def _template(sections: dict[str, dict], at: str | None = None) -> RunConfig:
+    """The RunConfig of each section's checked kwargs; range errors name at, else the section."""
+    model, data = (_build(cls, at or where, **sections[where]) for where, cls in _SECTIONS[:2])
+    return _build(RunConfig, at or "run", model=model, data=data, **sections["run"])
 
 
 def load_experiment(obj, overrides: dict | None = None, command: str = "run") -> dict:
     """Validate a raw config object, with overrides laid over it, into a
-    template RunConfig ("run") plus sweep, output_dir, and seeds.
+    RunConfig ("run"; None for the sweep command) plus sweep, output_dir, and seeds.
 
     overrides maps a section ("top-level config", "run", "run.model",
     "run.data") to {key: value}; None values are ignored. For the sweep
-    command the axis's values replace one key in every cell, and each cell
-    is checked with its own value (_sweep_cells), so the template is checked
-    with the first of those values that passes instead of the file's value,
-    which is used only when none passes (a cell's error then names it)."""
+    command sweep is {axis: [(value, RunConfig), ...]}: each cell is built
+    with its value in place of the key the axis replaces, and the first bad
+    cell is reported once seeds and output_dir have passed."""
     if not isinstance(obj, dict):
         raise ConfigError("top-level config must be an object")
     over = overrides or {}
@@ -163,7 +162,7 @@ def load_experiment(obj, overrides: dict | None = None, command: str = "run") ->
     run = _kwargs(run_sec, "run")
     sweep = None if top.get("sweep") is None else _section(top["sweep"], "sweep", _SWEEP_AXES)
     sections = {"run.model": model, "run.data": data, "run": run}
-    template = None
+    template = bad_cell = None
     if command == "sweep":
         if sweep is None:
             raise ConfigError("sweep section is required for the sweep command")
@@ -176,16 +175,19 @@ def load_experiment(obj, overrides: dict | None = None, command: str = "run") ->
             values = list(DEFAULT_TAU_GRID)
         if not isinstance(values, list) or not values:
             raise ConfigError(f"sweep.{axis} must be a nonempty list")
-        sweep = {axis: values}
         where, key = _SWEEP_AXES[axis]
-        for value in values:
+        want, cells = table[where][key][0], []
+        for i, value in enumerate(values):
+            at = f"sweep.{axis}[{i}]"
             try:
-                typed = _typed(value, table[where][key][0], f"sweep.{axis}")
-                template = _template({**sections, where: {**sections[where], key: typed}})
-                break
-            except ConfigError:  # the value's own cell reports it (_sweep_cells)
-                continue
-    if template is None:
+                cell = {**sections, where: {**sections[where], key: _typed(value, want, at)}}
+                cells.append((value, _template(cell, at)))
+            except ConfigError as exc:
+                bad_cell = bad_cell or exc
+        if not cells:  # then a bad key that the axis does not replace names its section
+            _template(sections)
+        sweep = {axis: cells}
+    else:
         template = _template(sections)
 
     seeds = top.get("seeds", [0])
@@ -193,6 +195,8 @@ def load_experiment(obj, overrides: dict | None = None, command: str = "run") ->
         raise ConfigError("seeds must be a nonempty list of integers")
     seeds = [_typed(s, int, f"seeds[{i}]") for i, s in enumerate(seeds)]
     output_dir = _typed(top.get("output_dir", "runs"), str, "output_dir")
+    if bad_cell is not None:
+        raise bad_cell
     return {"run": template, "sweep": sweep, "output_dir": output_dir, "seeds": seeds}
 
 
@@ -237,29 +241,8 @@ def cmd_run(exp: dict) -> int:
     return 0
 
 
-def _sweep_cells(exp: dict) -> tuple[str, list[tuple[object, RunConfig]]]:
-    """The sweep axis and one validated (value, RunConfig) template per value."""
-    (axis, values), = exp["sweep"].items()  # load_experiment's sweep check leaves one axis
-    where, key = _SWEEP_AXES[axis]
-    want = _key_table()[where][key][0]
-    template = exp["run"]
-    cells = []
-    for i, value in enumerate(values):
-        at = f"sweep.{axis}[{i}]"
-        typed = _typed(value, want, at)
-        try:
-            if where == "run.data":
-                cell = replace(template, data=replace(template.data, **{key: typed}))
-            else:
-                cell = replace(template, **{key: typed})
-        except ValueError as exc:
-            raise ConfigError(f"{at}: {exc}") from None
-        cells.append((value, cell))
-    return axis, cells
-
-
 def cmd_sweep(exp: dict) -> int:
-    axis, cells = _sweep_cells(exp)
+    (axis, cells), = exp["sweep"].items()  # load_experiment leaves one axis
     out_root = Path(exp["output_dir"])
     table = out_root / "sweep_summary.csv"
     # the table's (cell, seed) row pairs in table order, and the run groups

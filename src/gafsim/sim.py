@@ -24,7 +24,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import data as data_mod
-from .aggregate import average, draw_pivot, gaf_aggregate, running_scan_distances
+# bench/tracing.py's TARGETS wraps average and running_scan_distances on gafsim.sim
+from .aggregate import average, draw_pivot, gaf_aggregate, running_scan_distances  # noqa: F401
 from .data import Dataset, DataConfig, make_dataset, sample_macrobatch, take
 from .models import ModelSpec, accuracy, init_params, loss_and_grad
 from .optim import OptimState, init_optim, plateau_update, sgd_step, skip_step
@@ -100,8 +101,8 @@ class RunConfig:
             raise ValueError("tau must be in [0, 2]")
         if not 0.0 < self.val_fraction < 1.0:
             raise ValueError("val_fraction must be in (0, 1)")
-        # a CSV file's dims and rows are known only once it is read, and stratified capacity
-        # only once the split is drawn: run_detailed and sampling check those
+        # a CSV file's dims and rows are known only once it is read (run_detailed checks
+        # them), and each class's capacity only once the split is drawn (sampling does)
         if self.data.kind != data_mod.CSV:
             classes = self.data.num_classes
             if classes != self.model.num_classes:
@@ -110,18 +111,8 @@ class RunConfig:
             if self.data.input_dim != self.model.input_dim:
                 raise ValueError(f"data.input_dim {self.data.input_dim} conflicts with "
                                  f"model.input_dim {self.model.input_dim}")
-            if self.sampling == data_mod.STRATIFIED and self.u % classes != 0:
-                raise ValueError(f"stratified sampling needs u divisible by num_classes "
-                                 f"({self.u} % {classes} != 0)")
-            rows = (self.data.n if self.data.kind == data_mod.WHITE_NOISE
-                    else self.data.n_per_class * classes)
-            train_rows = rows - round(self.val_fraction * rows)  # run_detailed's split
-            if not 0 < train_rows < rows:
-                raise ValueError(f"val_fraction {self.val_fraction:g} leaves an empty split "
-                                 f"of {rows} rows")
-            if self.sampling == data_mod.UNIFORM and self.k * self.u > train_rows:
-                raise ValueError(f"uniform macrobatch k*u={self.k * self.u} exceeds the "
-                                 f"{train_rows} training rows of {rows}")
+            _split(self, self.data.n if self.data.kind == data_mod.WHITE_NOISE
+                   else self.data.n_per_class * classes, classes)
         if self.eval_every < 1:
             raise ValueError("eval_every must be >= 1")
         if self.pivot is not None and not 0 <= self.pivot < self.k:
@@ -129,6 +120,23 @@ class RunConfig:
         # the optimizer's and plateau schedule's range checks, run here rather than at step 1
         OptimState(self.lr, self.momentum, np.zeros(0), self.patience, self.lr_factor,
                    self.min_lr, self.min_delta)
+
+
+def _split(cfg: RunConfig, rows: int, classes: int, where: str = "") -> int:
+    """The validation row count of cfg's split of rows rows in classes classes; a ValueError
+    prefixed with where if stratified sampling cannot divide u among the classes, a side of
+    the split is empty, or the training rows cannot supply a uniform macrobatch."""
+    if cfg.sampling == data_mod.STRATIFIED and cfg.u % classes != 0:
+        raise ValueError(f"{where}stratified sampling needs u divisible by num_classes "
+                         f"({cfg.u} % {classes} != 0)")
+    n_val = round(cfg.val_fraction * rows)
+    if not 0 < n_val < rows:
+        raise ValueError(f"{where}val_fraction {cfg.val_fraction:g} leaves an empty split "
+                         f"of {rows} rows")
+    if cfg.sampling == data_mod.UNIFORM and cfg.k * cfg.u > rows - n_val:
+        raise ValueError(f"{where}uniform macrobatch k*u={cfg.k * cfg.u} exceeds the "
+                         f"{rows - n_val} training rows of {rows}")
+    return n_val
 
 
 @dataclass
@@ -176,19 +184,16 @@ def run_detailed(cfgs: Sequence[RunConfig]) -> list[RunResult]:
     if first.data.noise_rate > 0:
         ds = data_mod.inject_symmetric_noise(ds, first.data.noise_rate,
                                              derive_seed(master, _TAG_NOISE))
-    perm = np.random.default_rng(derive_seed(master, _TAG_SPLIT)).permutation(ds.n)
-    n_val = round(first.val_fraction * ds.n)
-    # RunConfig has checked generated data; a CSV file's rows and dims are known only now
-    if not 0 < n_val < ds.n:
-        raise ValueError(f"{first.data.path}: val_fraction {first.val_fraction:g} leaves an "
-                         f"empty split of {ds.n} rows")
-    train = take(ds, perm[n_val:])
-    val_x, val_y = ds.features[perm[:n_val]], ds.clean_labels[perm[:n_val]]
-    if train.dim != first.model.input_dim or train.num_classes > first.model.num_classes:
+    # RunConfig has checked generated data; a CSV file's dims and rows are known only now
+    if ds.dim != first.model.input_dim or ds.num_classes > first.model.num_classes:
         raise ValueError(
-            f"{first.data.path}: {train.dim} features and {train.num_classes} classes, run.model "
+            f"{first.data.path}: {ds.dim} features and {ds.num_classes} classes, run.model "
             f"has input_dim {first.model.input_dim} and num_classes {first.model.num_classes}"
         )
+    n_val = _split(first, ds.n, ds.num_classes, f"{first.data.path}: ")
+    perm = np.random.default_rng(derive_seed(master, _TAG_SPLIT)).permutation(ds.n)
+    train = take(ds, perm[n_val:])
+    val_x, val_y = ds.features[perm[:n_val]], ds.clean_labels[perm[:n_val]]
 
     spec = replace(first.model, init_seed=derive_seed(master, _TAG_INIT, first.model.init_seed))
     init = init_params(spec)
@@ -231,15 +236,12 @@ def run_detailed(cfgs: Sequence[RunConfig]) -> list[RunResult]:
                     # exact: sum starts at 0, and 0 + x == x as a loss is never -0.0
                     train_loss = sum(leg_losses.tolist()) / k
 
-                    if cfg.aggregator == AGG_GAF:
-                        pivot = drawn if cfg.pivot is None else cfg.pivot
-                        outcome = gaf_aggregate(leg_grads, cfg.tau, pivot)
-                        distances, accepted, gradient = (
-                            outcome.pairwise_distances, outcome.accepted_count, outcome.gradient
-                        )
-                    else:
-                        distances, accepted, gradient = (running_scan_distances(leg_grads), k,
-                                                         average(leg_grads))
+                    gaf = cfg.aggregator == AGG_GAF
+                    # averaging is the scan with every candidate admitted: tau 2 from pivot 0
+                    tau, pivot = (cfg.tau, cfg.pivot) if gaf else (2.0, 0)
+                    outcome = gaf_aggregate(leg_grads, tau, drawn if pivot is None else pivot)
+                    # the scan skips a lone gradient, having no candidate; averaging steps on it
+                    gradient = outcome.gradient if gaf or k > 1 else leg_grads[0]
                     skipped = gradient is None
                     if skipped:
                         leg.opt = skip_step(leg.opt)
@@ -263,8 +265,8 @@ def run_detailed(cfgs: Sequence[RunConfig]) -> list[RunResult]:
                     StepRecord(
                         step=t,
                         train_loss=train_loss,
-                        cos_distances=distances,
-                        accepted_count=accepted,
+                        cos_distances=outcome.pairwise_distances,
+                        accepted_count=outcome.accepted_count,
                         skipped=skipped,
                         lr=leg.opt.lr,
                         train_acc=train_acc,

@@ -25,10 +25,9 @@ digests its error message instead.
 The ``state`` mode runs the same configs and prints, per config, the
 sha256 of the final ``lr``, ``momentum``, ``velocity``, ``step_count``,
 ``skip_count``, ``best_metric`` and ``bad_epochs``, each as float64
-bytes. It reads each value by name from ``RunResult.opt``, or from
-``RunResult.sched`` on a tree that keeps the plateau state there, so one
-copy of the script can be run against each tree's ``src/``, as in the
-third example.
+bytes. It reads each value by name from ``RunResult.opt``, so one copy
+of the script can be run against each tree's ``src/``, as in the third
+example.
 
 The ``sweeps`` mode checks the CLI instead. Sweep i is a small random
 sweep drawn from a generator seeded with i: axis ``tau_grid``,
@@ -135,12 +134,8 @@ STATE_FIELDS = ("lr", "momentum", "velocity", "step_count", "skip_count", "best_
 
 def state_bytes(result: RunResult) -> bytes:
     """A RunResult's final STATE_FIELDS, each as float64 bytes."""
-    # a tree that keeps the plateau state apart from the optimizer's has it on .sched
-    return b"".join(
-        np.asarray(getattr(result.opt if hasattr(result.opt, name) else result.sched, name),
-                   dtype=np.float64).tobytes()
-        for name in STATE_FIELDS
-    )
+    return b"".join(np.asarray(getattr(result.opt, name), dtype=np.float64).tobytes()
+                    for name in STATE_FIELDS)
 
 
 def state_digest(cfg: RunConfig) -> str:

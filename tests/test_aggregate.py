@@ -136,6 +136,8 @@ class TestScanDistances:
         grads = [rng.normal(size=16) for _ in range(5)]
         out = gaf_aggregate(grads, 2.0, 0)
         assert running_scan_distances(grads) == out.pairwise_distances
+        # the same index-order sum and division as plain averaging, to the bit
+        assert out.gradient.tobytes() == average(grads).tobytes()
 
 
 class TestGradientBlock:

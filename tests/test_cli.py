@@ -538,26 +538,32 @@ class TestConfigErrors:
         section[where[-1]] = value
         self.assert_config_error(tmp_path, capsys, obj, message)
 
-    @pytest.mark.parametrize("sweep,message", [
-        ({"noise_rates": [0.0, 1.5]}, "sweep.noise_rates[1]: noise_rate must be in [0, 1]"),
-        ({"noise_rates": [0.0, "x"]}, 'sweep.noise_rates[1]: expected float, got "x"'),
-        ({"u_values": [3.9]}, "sweep.u_values[0]: expected int, got 3.9"),
-        ({"u_values": [3, 0]}, "sweep.u_values[1]: k and u must be positive"),
-        ({"u_values": [3, 4]},
+    @pytest.mark.parametrize("sweep,seeds,flags,message", [
+        ({"noise_rates": [0.0, 1.5]}, [0], [],
+         "sweep.noise_rates[1]: noise_rate must be in [0, 1]"),
+        ({"noise_rates": [0.0, "x"]}, [0], [], 'sweep.noise_rates[1]: expected float, got "x"'),
+        ({"u_values": [3.9]}, [0], [], "sweep.u_values[0]: expected int, got 3.9"),
+        ({"u_values": [3, 0]}, [0], [], "sweep.u_values[1]: k and u must be positive"),
+        ({"u_values": [3, 4]}, [0], [],
          "sweep.u_values[1]: stratified sampling needs u divisible by num_classes (4 % 3 != 0)"),
-        ({"tau_grid": [0.97, 2.5]}, "sweep.tau_grid[1]: tau must be in [0, 2]"),
-        ({"tau_grid": [True]}, "sweep.tau_grid[0]: expected float, got true"),
+        ({"tau_grid": [0.97, 2.5]}, [0], [], "sweep.tau_grid[1]: tau must be in [0, 2]"),
+        ({"tau_grid": [True]}, [0], [], "sweep.tau_grid[0]: expected float, got true"),
         # a bad first value is named as its cell, not as the run key it replaces
-        ({"tau_grid": [2.5, 0.97]}, "sweep.tau_grid[0]: tau must be in [0, 2]"),
-        ({"noise_rates": [1.5]}, "sweep.noise_rates[0]: noise_rate must be in [0, 1]"),
-        ({"u_values": [4, 3]},
+        ({"tau_grid": [2.5, 0.97]}, [0], [], "sweep.tau_grid[0]: tau must be in [0, 2]"),
+        ({"noise_rates": [1.5]}, [0], [], "sweep.noise_rates[0]: noise_rate must be in [0, 1]"),
+        ({"u_values": [4, 3]}, [0], [],
          "sweep.u_values[0]: stratified sampling needs u divisible by num_classes (4 % 3 != 0)"),
+        # the sections are reported first, then seeds and output_dir, then the first bad cell
+        ({"tau_grid": [0.97, 2.5]}, [True], [], "seeds[0]: expected int, got true"),
+        ({"tau_grid": [2.5]}, [0], ["--steps", "0"], "run: steps must be >= 1"),
     ], ids=["noise-range", "noise-str", "u-float", "u-zero", "u-classes", "tau-range",
-            "tau-bool", "first-tau-range", "first-noise-range", "first-u-classes"])
-    def test_bad_sweep_cell_fails_before_any_run(self, tmp_path, capsys, sweep, message):
+            "tau-bool", "first-tau-range", "first-noise-range", "first-u-classes",
+            "bad-seeds-first", "bad-section-first"])
+    def test_bad_sweep_cell_fails_before_any_run(self, tmp_path, capsys, sweep, seeds, flags,
+                                                 message):
         obj = self.base(tmp_path)
-        obj["sweep"] = sweep
-        self.assert_config_error(tmp_path, capsys, obj, message, command="sweep")
+        obj["sweep"], obj["seeds"] = sweep, seeds
+        self.assert_config_error(tmp_path, capsys, obj, message, command="sweep", flags=flags)
 
     @pytest.mark.parametrize("where,value,message", [
         (("run", "data", "noise_rate"), 1.5, "run.data: noise_rate must be in [0, 1]"),

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from gafsim.aggregate import gaf_aggregate
 from gafsim.data import DataConfig, sample_macrobatch
 from gafsim import sim
 from gafsim.models import MLP1, SOFTMAX_LINEAR, ModelSpec, init_params, loss_and_grad
@@ -98,7 +99,7 @@ class TestStepAccounting:
         assert base_cfg(data=data, u=4, sampling="uniform").u == 4
 
     def test_csv_u_checked_only_once_read(self, tmp_path):
-        # a CSV file's class count is unknown until it is read: the check is at step 1
+        # a CSV file's class count is unknown until it is read: the check runs then, before step 1
         path = tmp_path / "d.csv"
         rows = [f"{i % 7}.0,{i % 3}" for i in range(60)]
         path.write_text("f0,label\n" + "\n".join(rows) + "\n")
@@ -195,7 +196,8 @@ class TestStepAccounting:
                                    f"{train_rows} training rows of {rows}")
 
     def test_stratified_and_csv_capacity_fail_at_run_time(self, tmp_path):
-        # stratified capacity depends on the drawn split, a CSV file's rows on the file
+        # stratified capacity depends on the drawn split, a CSV file's rows on the file,
+        # which is checked once read, before step 1
         data = DataConfig(kind="white_noise", num_classes=5, input_dim=8, n=40)
         cfg = base_cfg(data=data, k=2, u=10, steps=2)
         with pytest.raises(ValueError, match="class 3 has 3 samples, need 4 for k=2, u=10"):
@@ -205,8 +207,10 @@ class TestStepAccounting:
         model = ModelSpec(kind=SOFTMAX_LINEAR, input_dim=1, num_classes=3)
         cfg = base_cfg(model=model, data=DataConfig(kind="csv", path=str(path)), u=9,
                        sampling="uniform")
-        with pytest.raises(ValueError, match="macrobatch k\\*u=18 exceeds dataset size 16"):
+        with pytest.raises(ValueError) as info:
             run(cfg)
+        assert str(info.value) == (f"{path}: uniform macrobatch k*u=18 exceeds the 16 "
+                                   "training rows of 20")
 
     @pytest.mark.parametrize("kind", ["gaussian", "white_noise"])
     def test_data_model_input_dim_conflict_rejected(self, kind):
@@ -296,6 +300,15 @@ class TestSingleWorker:
         assert all(r.skipped for r in result.records)
         assert all(r.accepted_count == 1 for r in result.records)
         assert result.opt.skip_count == 20 and result.opt.step_count == 0
+
+    def test_grouped_legs_match_their_runs_alone(self, tmp_path):
+        cfg = base_cfg(k=1, steps=20)
+        legs = [cfg, replace(cfg, aggregator="gaf", tau=2.0, pivot=0)]
+        avg, gaf = run_detailed(legs)
+        for i, (leg, got) in enumerate(zip(legs, (avg, gaf))):
+            assert (records_bytes(got.records, tmp_path, f"group{i}")
+                    == records_bytes(run_detailed([leg])[0].records, tmp_path, f"alone{i}"))
+        assert not any(r.skipped for r in avg.records) and all(r.skipped for r in gaf.records)
 
 
 class TestSnapshotConsistency:
@@ -509,6 +522,29 @@ class TestRunGroups:
         assert len(per_leg) == 2 and all(grad.shape == (1, 2, block.shape[2]) for grad in per_leg)
         # leg i writes into row i of the group's block
         assert all(np.shares_memory(grad, block[i]) for i, grad in enumerate(per_leg))
+
+    def test_every_leg_step_makes_one_scan_call(self, monkeypatch):
+        # averaging is the scan at tau 2 from pivot 0, so neither average nor
+        # running_scan_distances is called
+        scans, others = [], []
+
+        def recording(grads, tau, pivot):
+            scans.append((tau, pivot))
+            return gaf_aggregate(grads, tau, pivot)
+
+        monkeypatch.setattr(sim, "gaf_aggregate", recording)
+        monkeypatch.setattr(sim, "average", lambda *args: others.append("average"))
+        monkeypatch.setattr(sim, "running_scan_distances",
+                            lambda *args: others.append("running_scan_distances"))
+        cfg = base_cfg(k=3, steps=20)
+        run_detailed([cfg, replace(cfg, aggregator="gaf", tau=0.9),
+                      replace(cfg, aggregator="gaf", tau=0.9, pivot=2)])
+        assert len(scans) == 60 and others == []
+        assert scans[0::3] == [(2.0, 0)] * 20
+        # the middle leg takes each step's drawn pivot
+        assert {tau for tau, _ in scans[1::3]} == {0.9}
+        assert {pivot for _, pivot in scans[1::3]} == {0, 1, 2}
+        assert scans[2::3] == [(0.9, 2)] * 20
 
     def test_shared_fields_are_config_fields(self):
         assert set(GROUP_FIELDS) <= {f.name for f in fields(RunConfig)}
