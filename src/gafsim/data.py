@@ -5,6 +5,14 @@ return new Dataset objects. Label noise flips an exact count of labels,
 round(rate * n), chosen without replacement, each to a uniformly random
 *different* class, and the flips are fixed for the lifetime of the dataset.
 Sampling is pure given a step seed, so every draw is reproducible.
+
+A stratified step draws, class by class, what `Generator.choice(pool,
+k * u / num_classes, replace=False)` would. With at least twice as many
+classes as rows drawn per class, one `integers` call replays those calls
+(Floyd's algorithm, then a shuffle: same picks, same final generator state);
+otherwise, and always on `choice`'s tail-shuffle branch, `choice` runs per
+class. The replay depends on numpy's `Generator.choice` algorithm;
+`TestSamplingReplay` in `tests/test_data.py` fails if a numpy changes it.
 """
 
 from __future__ import annotations
@@ -48,9 +56,11 @@ class Dataset:
         return self.features.shape[1]
 
     @cached_property
-    def class_pools(self) -> list[np.ndarray]:
-        """Row indices of each (possibly noisy) class, ascending; computed once."""
-        return [np.flatnonzero(self.labels == c) for c in range(self.num_classes)]
+    def class_layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, starts, sizes), computed once: the row indices of (possibly noisy)
+        class c, ascending, are rows[starts[c] : starts[c] + sizes[c]]."""
+        sizes = np.bincount(self.labels, minlength=self.num_classes)
+        return np.argsort(self.labels, kind="stable"), np.cumsum(sizes) - sizes, sizes
 
 
 @dataclass(frozen=True)
@@ -199,17 +209,20 @@ def sample_macrobatch(
                 f"stratified sampling needs u divisible by num_classes ({u} % {ds.num_classes} != 0)"
             )
         per_class = u // ds.num_classes
-        picks = np.empty((k, u), dtype=np.int64)
-        col = 0
         need = k * per_class
-        for c, pool in enumerate(ds.class_pools):
-            if pool.size < need:
-                raise ValueError(
-                    f"class {c} has {pool.size} samples, need {need} for k={k}, u={u}"
-                )
-            chosen = pool[rng.choice(pool.size, size=need, replace=False)]
-            picks[:, col : col + per_class] = chosen.reshape(k, per_class)
-            col += per_class
+        rows, starts, sizes = ds.class_layout
+        if sizes.min() < need:
+            c = int(np.argmax(sizes < need))
+            raise ValueError(f"class {c} has {sizes[c]} samples, need {need} for k={k}, u={u}")
+        # the replay loops over need, the choice calls over classes: replay when it makes
+        # fewer numpy calls; choice's tail-shuffle branch needs need > 10000 // 50
+        if 2 * need <= ds.num_classes and need <= 200:
+            local = _replay_choice(rng, sizes, need)
+        else:
+            local = np.array([rng.choice(n, size=need, replace=False) for n in sizes.tolist()])
+        # class c's draw, in k chunks of per_class, fills columns c*per_class onward
+        chosen = rows[starts[:, None] + local]
+        picks = chosen.reshape(-1, k, per_class).transpose(1, 0, 2).reshape(k, u)
     elif mode == UNIFORM:
         if k * u > ds.n:
             raise ValueError(f"macrobatch k*u={k * u} exceeds dataset size {ds.n}")
@@ -218,6 +231,34 @@ def sample_macrobatch(
         raise ValueError(f"unknown sampling mode {mode!r}")
 
     return picks, ds.features[picks], ds.labels[picks]
+
+
+def _replay_choice(rng: np.random.Generator, sizes: np.ndarray, need: int) -> np.ndarray:
+    """[rng.choice(n, size=need, replace=False) for n in sizes] from one integers call.
+
+    On its Floyd branch (n <= 10000 or need <= n // 50), choice makes draw t
+    uniform on [0, n - need + t], taking that bound instead if the value is
+    taken, then swaps position i, from need - 1 down to 1, with one uniform
+    on [0, i]. integers draws an array of closed bounds one by one with the
+    same bounded-integer routine, so this takes the same values from the
+    stream. The caller checks every n >= need and that no n is on the
+    tail-shuffle branch.
+    """
+    steps = np.arange(need)
+    highs = np.empty((sizes.size, 2 * need - 1), dtype=np.int64)
+    highs[:, :need] = (sizes - need)[:, None] + steps
+    highs[:, need:] = steps[:0:-1]
+    draws = rng.integers(0, highs, endpoint=True)
+    local = draws[:, :need].copy()
+    for t in range(1, need):
+        taken = (local[:, :t] == local[:, t, None]).any(axis=1)
+        local[taken, t] = highs[taken, t]
+    classes = np.arange(sizes.size)
+    for i, j in zip(steps[:0:-1], draws[:, need:].T):
+        swapped = local[:, i].copy()
+        local[:, i] = local[classes, j]
+        local[classes, j] = swapped
+    return local
 
 
 def _feature(text: str) -> float:

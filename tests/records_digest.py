@@ -52,6 +52,20 @@ copy can be run against each tree's ``src/``:
     PYTHONPATH=src python3 tests/records_digest.py groups 400 > after.json
     PYTHONPATH=/path/to/parent/src python3 tests/records_digest.py groups 400 > before.json
 
+The ``samples`` mode checks the sampler alone. Case i is a
+``(dataset, k, u, mode, step_seed)`` drawn from a generator seeded with
+``(i, 2)``: both sampling modes, 2-12 classes, and pools from the draw's
+size to 60 rows over it (so classes run short, and draws collide); every
+20th case has classes of over 10000 rows, drawn on both sides of
+``Generator.choice``'s tail-shuffle cutoff. It prints, per case, the
+sha256 of the picks, features and labels that ``sample_macrobatch``
+returns, or a digest of the error it raised. It reads only
+``gafsim.sample_macrobatch`` and the dataset generators, so one copy can
+be run against each tree's ``src/``:
+
+    PYTHONPATH=src python3 tests/records_digest.py samples 2000 > after.json
+    PYTHONPATH=/path/to/parent/src python3 tests/records_digest.py samples 2000 > before.json
+
 This is a script, not a test module: pytest does not collect it. The
 golden-digest tests import ``run_digest`` from it.
 """
@@ -69,6 +83,7 @@ from pathlib import Path
 
 import numpy as np
 
+from gafsim import gen_gaussian_clusters, gen_white_noise, inject_symmetric_noise, sample_macrobatch
 from gafsim.cli import main as cli_main
 from gafsim.data import DataConfig
 from gafsim.models import ModelSpec
@@ -240,7 +255,45 @@ def sweep_digest(index: int) -> dict:
                    for p in files}}
 
 
+def random_sample_case(index: int) -> tuple:
+    """(dataset, k, u, mode, step_seed) for sample case index."""
+    rng = np.random.default_rng((index, 2))
+    mode = str(rng.choice(["stratified", "uniform"]))
+    step_seed = int(rng.integers(1 << 63))
+    data_seed = int(rng.integers(1 << 31))
+    if index % 20 == 19:
+        # over 10000 rows a class, drawing up to 2 * 150 rows of each (the tail
+        # shuffle takes over past 1/50 of a pool)
+        num_classes, k, per_class = 2, int(rng.integers(1, 3)), int(rng.integers(1, 151))
+        n_per_class = int(rng.integers(10001, 10400))
+    else:
+        num_classes, k, per_class = int(rng.integers(2, 13)), int(rng.integers(1, 6)), 1
+        if rng.random() < 0.3:
+            per_class = int(rng.integers(2, 4))
+        n_per_class = k * per_class + int(rng.integers(0, 61))
+    if rng.random() < 0.7:
+        ds = gen_gaussian_clusters(num_classes, 2, n_per_class, 1.0, seed=data_seed)
+        ds = inject_symmetric_noise(ds, float(rng.choice([0.0, 0.1, 0.4])), seed=data_seed + 1)
+    else:
+        ds = gen_white_noise(num_classes, 2, num_classes * n_per_class, seed=data_seed)
+    u = num_classes * per_class if mode == "stratified" else int(rng.integers(1, 31))
+    return ds, k, u, mode, step_seed
+
+
+def sample_digest(index: int) -> str:
+    """sha256 of sample case index's picks, features and labels, or of its error."""
+    try:
+        macrobatch = sample_macrobatch(*random_sample_case(index))
+    except ValueError as exc:
+        return "error: " + hashlib.sha256(str(exc).encode()).hexdigest()
+    return hashlib.sha256(b"".join(a.tobytes() for a in macrobatch)).hexdigest()
+
+
 def main(argv: list[str]) -> int:
+    if len(argv) > 1 and argv[1] == "samples":
+        n = int(argv[2]) if len(argv) > 2 else 2000
+        print(json.dumps({i: sample_digest(i) for i in range(n)}, indent=1))
+        return 0
     if len(argv) > 1 and argv[1] == "sweeps":
         n = int(argv[2]) if len(argv) > 2 else 150
         print(json.dumps({i: sweep_digest(i) for i in range(n)}, indent=1))

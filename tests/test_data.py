@@ -8,6 +8,8 @@ from gafsim.data import (
     STRATIFIED,
     UNIFORM,
     DataConfig,
+    Dataset,
+    _replay_choice,
     gen_gaussian_clusters,
     gen_white_noise,
     inject_symmetric_noise,
@@ -153,6 +155,14 @@ class TestMacrobatchSampling:
         with pytest.raises(ValueError, match="need"):
             sample_macrobatch(ds, 5, 2, STRATIFIED, step_seed=0)
 
+    def test_first_short_class_is_named(self):
+        # classes 1 and 3 are short; capacity is checked before any draw
+        labels = np.repeat([0, 1, 2, 3], [5, 2, 4, 1])
+        ds = Dataset(np.zeros((12, 2)), labels, labels.copy(), num_classes=4)
+        with pytest.raises(ValueError) as exc:
+            sample_macrobatch(ds, 3, 4, STRATIFIED, step_seed=0)
+        assert str(exc.value) == "class 1 has 2 samples, need 3 for k=3, u=4"
+
     def test_uniform_overdraw_errors(self):
         ds = gen_white_noise(3, 2, 10, seed=0)
         with pytest.raises(ValueError, match="exceeds"):
@@ -181,13 +191,15 @@ class TestClassPools:
     @pytest.mark.parametrize("builder", DATASET_BUILDERS.values(), ids=DATASET_BUILDERS.keys())
     def test_pools_are_class_rows(self, builder, tmp_path):
         ds = builder(tmp_path)
-        assert len(ds.class_pools) == ds.num_classes
-        for c, pool in enumerate(ds.class_pools):
+        rows, starts, sizes = ds.class_layout
+        assert len(starts) == len(sizes) == ds.num_classes
+        for c in range(ds.num_classes):
+            pool = rows[starts[c]:starts[c] + sizes[c]]
             assert np.array_equal(pool, np.flatnonzero(ds.labels == c))
 
     def test_pools_computed_once(self):
         ds = gen_white_noise(3, 2, 40, seed=0)
-        assert ds.class_pools is ds.class_pools
+        assert ds.class_layout is ds.class_layout
 
     def test_dataset_is_frozen(self):
         # the pool cache would go stale if labels could be reassigned
@@ -225,6 +237,70 @@ class TestSamplingGolden:
         else:
             ds = gen_white_noise(4, 3, 90, seed=8)
         assert _batches_digest(sample_macrobatch(ds, k, u, mode, step_seed)) == digest
+
+    def test_tail_shuffle_digest(self):
+        # both classes exceed 10000 rows and each draws 210 > pool // 50 of them,
+        # so choice takes its tail-shuffle branch, not Floyd's algorithm
+        ds = inject_symmetric_noise(gen_gaussian_clusters(2, 2, 10200, 0.5, seed=8), 0.1, seed=9)
+        assert np.all(np.bincount(ds.labels) > 10000)
+        macrobatch = sample_macrobatch(ds, 3, 140, STRATIFIED, step_seed=5)
+        assert _batches_digest(macrobatch) == "b2e42c3e7d36de3f"
+
+
+def _choice_calls(sizes, need, seed):
+    rng = np.random.default_rng(seed)
+    picks = [rng.choice(n, size=need, replace=False) for n in sizes.tolist()]
+    return np.array(picks), rng.bit_generator.state
+
+
+class TestSamplingReplay:
+    """_replay_choice must draw what per-class Generator.choice calls draw, and leave
+    the generator in the same state; a numpy that changes choice fails here."""
+
+    def _assert_replays(self, sizes, need, seed):
+        rng = np.random.default_rng(seed)
+        local = _replay_choice(rng, np.asarray(sizes), need)
+        expected, state = _choice_calls(np.asarray(sizes), need, seed)
+        assert np.array_equal(local, expected), (sizes, need, seed)
+        assert rng.bit_generator.state == state, (sizes, need, seed)
+
+    def test_matches_choice_on_seeded_cases(self):
+        # pools of need to need + 60 rows, so that Floyd's collisions happen
+        cases = np.random.default_rng(2024)
+        for _ in range(2500):
+            need = int(cases.integers(1, 9))
+            sizes = need + cases.integers(0, 61, size=int(cases.integers(1, 13)))
+            self._assert_replays(sizes, need, int(cases.integers(1 << 63)))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_choice_at_floyd_limit(self, seed):
+        # 200 of 10001 rows is still Floyd's algorithm in choice
+        self._assert_replays([10001], 200, seed)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_tail_shuffle_is_not_replayed(self, seed):
+        # 201 of 10001 rows takes choice's tail shuffle, which the replay does not
+        # follow: the sampler must (and does) call choice there
+        rng = np.random.default_rng(seed)
+        assert not np.array_equal(_replay_choice(rng, np.array([10001]), 201),
+                                  _choice_calls(np.array([10001]), 201, seed)[0])
+
+    @pytest.mark.parametrize("sizes, k, per_class", [
+        ([40] * 10, 2, 1),  # replayed
+        ([9, 7, 6, 6, 8, 9, 6, 6, 7, 6, 9, 6], 3, 2),  # replayed, pools of need to need + 3
+        ([30] * 4, 2, 3),  # choice calls
+        ([10005] + [201] * 401, 1, 201),  # choice calls: class 0 is on the tail-shuffle branch
+    ], ids=["replay", "replay-collisions", "choice", "choice-tail"])
+    def test_sampler_matches_choice_calls(self, sizes, k, per_class):
+        sizes = np.array(sizes)
+        labels = np.repeat(np.arange(sizes.size), sizes)
+        ds = Dataset(np.zeros((labels.size, 1)), labels, labels, sizes.size)
+        for seed in range(20):
+            picks, _, _ = sample_macrobatch(ds, k, sizes.size * per_class, STRATIFIED, seed)
+            local = _choice_calls(sizes, k * per_class, seed)[0]
+            rows = local + (np.cumsum(sizes) - sizes)[:, None]
+            expected = rows.reshape(sizes.size, k, per_class).transpose(1, 0, 2)
+            assert np.array_equal(picks, expected.reshape(k, -1))
 
 
 class TestCsv:
