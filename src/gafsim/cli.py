@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .aggregate import gaf_aggregate
+from .aggregate import agreement_scan, gaf_aggregate, scan_work
 from .data import DataConfig
 from .models import MLP1, SOFTMAX_LINEAR, ModelSpec, init_params, loss_and_grad
 from . import sim
@@ -327,21 +327,27 @@ def cmd_check() -> int:
             print(f"FAIL {line}")
             ok = False
 
+    # 200 instances as 40 five-leg groups, each leg with its own tau and pivot:
+    # every leg is scanned with its group and alone, and both must match
     mismatches = 0
-    for _ in range(200):
+    for _ in range(40):
         k = int(rng.integers(2, 7))
         dim = int(rng.integers(1, 40))
-        grads = [rng.normal(size=dim) for _ in range(k)]
-        tau = float(rng.uniform(0, 2))
-        pivot = int(rng.integers(k))
-        out = gaf_aggregate(grads, tau, pivot)
-        ref_grad, ref_c = _naive_filter_reference(grads, tau, pivot)
-        same = out.accepted_count == ref_c and (
-            (out.gradient is None and ref_grad is None)
-            or (out.gradient is not None and ref_grad is not None
-                and np.array_equal(out.gradient, ref_grad))
-        )
-        mismatches += 0 if same else 1
+        block = rng.normal(size=(5, k, dim))
+        taus = rng.uniform(0, 2, 5).tolist()
+        pivots = rng.integers(k, size=5).tolist()
+        group = agreement_scan(block, taus, pivots, scan_work(5, k, dim))
+        for leg, grads in enumerate(block):
+            ref_grad, ref_c = _naive_filter_reference(grads, taus[leg], pivots[leg])
+            same = all(
+                out.accepted_count == ref_c and (
+                    (out.gradient is None and ref_grad is None)
+                    or (out.gradient is not None and ref_grad is not None
+                        and np.array_equal(out.gradient, ref_grad))
+                )
+                for out in (group[leg], gaf_aggregate(grads, taus[leg], pivots[leg]))
+            )
+            mismatches += 0 if same else 1
     if mismatches == 0:
         print("PASS aggregation scan matches naive reference on 200 random instances")
     else:

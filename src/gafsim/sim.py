@@ -10,7 +10,8 @@ lockstep (run_detailed), drawing each macrobatch and pivot once for all of
 them. Each step makes one loss_and_grad call, its one form: the legs'
 (L, P) parameter rows on the (k, u, d) macrobatch, writing into the group's
 one (L, k, P) gradient block, whose row [l, i] is bit-identical to leg l's
-worker i evaluated alone.
+worker i evaluated alone, and one agreement_scan call over that block,
+whose outcome l is byte-equal to leg l's own gaf_aggregate call.
 
 The validation split is carved from the generated dataset and always
 scored against clean labels, even when the training labels are noisy.
@@ -24,8 +25,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import data as data_mod
-# bench/tracing.py's TARGETS wraps average and running_scan_distances on gafsim.sim
-from .aggregate import average, draw_pivot, gaf_aggregate, running_scan_distances  # noqa: F401
+# bench/tracing.py's TARGETS wraps average, gaf_aggregate and running_scan_distances on gafsim.sim
+from .aggregate import (  # noqa: F401
+    agreement_scan, average, draw_pivot, gaf_aggregate, running_scan_distances, scan_work,
+)
 from .data import Dataset, DataConfig, make_dataset, sample_macrobatch, take
 from .models import ModelSpec, accuracy, init_params, loss_and_grad
 from .optim import OptimState, init_optim, plateau_update, sgd_step, skip_step
@@ -160,13 +163,15 @@ def run_detailed(cfgs: Sequence[RunConfig]) -> list[RunResult]:
     per group (or per step). At each step one loss_and_grad call on the
     legs' (L, P) parameter rows writes every leg's k micro-gradients into
     the group's one (L, k, P) block, allocated once, leg i's rows byte-equal
-    to its own (1, P) call; each leg then takes its own rows, scan,
-    optimizer step and evaluations, so its records and final
-    state are byte-equal to its config run alone. Equal configs share one
-    leg and one RunResult. A diverging leg fails the group with the step,
-    the leg and the message that a leg-by-leg pass would meet first: when
-    the group's call fails, each leg makes its own (1, P) call into its row
-    of the block.
+    to its own (1, P) call, and one agreement_scan call filters every leg's
+    rows with its own tau and pivot, each outcome byte-equal to the leg's
+    own gaf_aggregate call; each leg then takes its own optimizer step and
+    evaluations, so its records and final state are byte-equal to its
+    config run alone. Equal configs share one leg and one RunResult. A
+    diverging leg fails the group with the step, the leg and the message
+    that a leg-by-leg pass would meet first: when the group's gradient call
+    or scan fails, each leg makes its own (1, P) call into its row of the
+    block and its own one-leg scan, in leg order.
     """
     if isinstance(cfgs, RunConfig):
         raise TypeError("run_detailed takes a sequence of RunConfigs; pass [cfg] for one run")
@@ -204,52 +209,58 @@ def run_detailed(cfgs: Sequence[RunConfig]) -> list[RunResult]:
                        train)
         for cfg in cfgs
     }
-    draws_pivot = any(cfg.aggregator == AGG_GAF and cfg.pivot is None for cfg in legs)
+    gaf = [cfg.aggregator == AGG_GAF for cfg in legs]
+    # averaging is the scan with every candidate admitted: tau 2 from pivot 0
+    taus = [cfg.tau if g else 2.0 for cfg, g in zip(legs, gaf)]
+    fixed = [cfg.pivot if g else 0 for cfg, g in zip(legs, gaf)]
+    draws_pivot = None in fixed
     decay = np.array([cfg.weight_decay for cfg in legs])
-    # every step's gradients land in this one block, so no step frees and re-faults
-    # its pages; leg i's rows are views of it, used only within their step
+    # every step's gradients land in this one block, and its scan works in these
+    # buffers, so no step frees and re-faults their pages; leg i's rows are views
+    # of the block, used only within their step
     grads = np.empty((len(legs), k, init.size))
+    work = scan_work(*grads.shape)
 
     # a diverging run overflows (weights' squares, a dot product) before a guard in
-    # loss_and_grad or gradvec.dot raises for it: that raise is all it prints (set once
-    # per group, as an errstate per loss_and_grad call measured slower)
+    # loss_and_grad or the agreement scan raises for it: that raise is all it prints
+    # (set once per group, as an errstate per loss_and_grad call measured slower)
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, first.steps + 1):
             _, features, labels = sample_macrobatch(
                 train, k, first.u, first.sampling, derive_seed(master, _TAG_STEP, t)
             )
             drawn = draw_pivot(k, derive_seed(master, _TAG_PIVOT, t)) if draws_pivot else None
-            # every leg's k micro-gradients in one call: losses[i], grads[i] are leg i's
+            pivots = [drawn if p is None else p for p in fixed]
+            # every leg's k micro-gradients in one call, then every leg's scan in one:
+            # losses[i], grads[i] and outcomes[i] are leg i's
             try:
                 losses = loss_and_grad(np.array([leg.params for leg in legs.values()]),
                                        features, labels, spec, decay, grads)
+                outcomes = agreement_scan(grads, taus, pivots, work)
             except ValueError:
-                # a leg diverged: take one call per leg instead, so the error below names the
-                # leg, and the failure, that a leg-by-leg pass meets first
-                losses = None
+                # a leg diverged: evaluate and scan leg by leg instead, so the error below
+                # names the leg, and the failure, that a leg-by-leg pass meets first
+                losses, outcomes = [], []
+                for i, leg in enumerate(legs.values()):
+                    try:
+                        losses.append(loss_and_grad(leg.params[None], features, labels, spec,
+                                                    decay[i:i + 1], grads[i:i + 1])[0])
+                        outcomes += agreement_scan(grads[i:i + 1], taus[i:i + 1],
+                                                   pivots[i:i + 1], work)
+                    except ValueError as exc:
+                        where = "" if len(legs) == 1 else f" in group leg {i}"
+                        raise RuntimeError(f"training diverged at step {t}{where}: {exc}") from exc
             for i, (cfg, leg) in enumerate(legs.items()):
-                leg_grads = grads[i]
-                try:
-                    leg_losses = losses[i] if losses is not None else loss_and_grad(
-                        leg.params[None], features, labels, spec, decay[i:i + 1], grads[i:i + 1]
-                    )[0]
-                    # exact: sum starts at 0, and 0 + x == x as a loss is never -0.0
-                    train_loss = sum(leg_losses.tolist()) / k
-
-                    gaf = cfg.aggregator == AGG_GAF
-                    # averaging is the scan with every candidate admitted: tau 2 from pivot 0
-                    tau, pivot = (cfg.tau, cfg.pivot) if gaf else (2.0, 0)
-                    outcome = gaf_aggregate(leg_grads, tau, drawn if pivot is None else pivot)
-                    # the scan skips a lone gradient, having no candidate; averaging steps on it
-                    gradient = outcome.gradient if gaf or k > 1 else leg_grads[0]
-                    skipped = gradient is None
-                    if skipped:
-                        leg.opt = skip_step(leg.opt)
-                    else:
-                        leg.params, leg.opt = sgd_step(leg.params, gradient, leg.opt)
-                except ValueError as exc:
-                    where = "" if len(legs) == 1 else f" in group leg {i}"
-                    raise RuntimeError(f"training diverged at step {t}{where}: {exc}") from exc
+                # exact: sum starts at 0, and 0 + x == x as a loss is never -0.0
+                train_loss = sum(losses[i].tolist()) / k
+                outcome = outcomes[i]
+                # the scan skips a lone gradient, having no candidate; averaging steps on it
+                gradient = outcome.gradient if gaf[i] or k > 1 else grads[i, 0]
+                skipped = gradient is None
+                if skipped:
+                    leg.opt = skip_step(leg.opt)
+                else:
+                    leg.params, leg.opt = sgd_step(leg.params, gradient, leg.opt)
 
                 scheduled = not skipped and leg.opt.step_count % cfg.eval_every == 0
                 train_acc = val_acc = None

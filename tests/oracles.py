@@ -2,10 +2,15 @@
 
 These deliberately avoid the package's own vector helpers: distances use
 np.dot / np.linalg.norm and the filtering scan is re-derived from its
-definition, so agreement between library and oracle is meaningful.
+definition, so agreement between library and oracle is meaningful. The
+exception is per_candidate_scan, the bit-level oracle of the agreement
+scan, which is built on gradvec's strict-order dot products.
 """
 
 import numpy as np
+
+from gafsim.aggregate import AggregationOutcome
+from gafsim.gradvec import cosine_distance
 
 
 def naive_cosine_distance(x, y):
@@ -36,6 +41,35 @@ def naive_filtered_aggregate(grads, tau, pivot):
             mask[i] = True
     gradient = g / count if count > 1 else None
     return gradient, count, mask, distances, count == 1
+
+
+def per_candidate_scan(grads, tau, pivot):
+    """The agreement scan as one gradvec.cosine_distance call per candidate.
+
+    The bit-level oracle for aggregate.agreement_scan, unlike the oracles
+    above: gradvec sums every dot product in index order, and this loop
+    takes those sums in the order the scan's definition visits them (every
+    distance against the running sum as it stands, which grows by +=), so
+    distances, masks, counts and gradient bytes must match exactly, and it
+    raises gradvec's "non-finite dot product" whenever the scan must.
+    """
+    running = np.array(grads[pivot], dtype=np.float64)
+    count = 1
+    mask = [False] * len(grads)
+    mask[pivot] = True
+    distances = []
+    for i in range(len(grads)):
+        if i == pivot:
+            continue
+        d = cosine_distance(grads[i], running)
+        distances.append(d)
+        if d <= tau:
+            running += grads[i]
+            count += 1
+            mask[i] = True
+    skipped = count == 1
+    return AggregationOutcome(None if skipped else running / count, count, mask, distances,
+                              skipped)
 
 
 def naive_mean(grads):

@@ -46,8 +46,10 @@ pivot, lr, momentum, weight decay, ``eval_every`` and the plateau fields.
 It runs each group through ``run_detailed`` and prints, per group, one
 sha256 per leg over the bytes that the records mode and the ``state``
 mode digest, one after the other, or a digest of the error the group
-raised. It reads the result through the same names as ``state``, so one
-copy can be run against each tree's ``src/``:
+raised. Its 2-6 distinct legs at k 1-5 give the group's agreement scan
+rounds of 2 to 36 dot products, so the groups cover both sides of the
+scan's accumulate/column crossover. It reads the result through the same
+names as ``state``, so one copy can be run against each tree's ``src/``:
 
     PYTHONPATH=src python3 tests/records_digest.py groups 400 > after.json
     PYTHONPATH=/path/to/parent/src python3 tests/records_digest.py groups 400 > before.json
@@ -65,6 +67,19 @@ be run against each tree's ``src/``:
 
     PYTHONPATH=src python3 tests/records_digest.py samples 2000 > after.json
     PYTHONPATH=/path/to/parent/src python3 tests/records_digest.py samples 2000 > before.json
+
+The ``scans`` mode checks the agreement scan alone. Case i is a
+``(grads, tau, pivot)`` drawn from a generator seeded with ``(i, 3)``: k
+1-8 rows of 1-3000 entries, each row at its own scale from 1e-3 to 1e3,
+some rows zero or repeated, some at 1e150-1e200 so that a dot product
+overflows, tau 0, 2 or drawn, and a drawn pivot. It prints, per case, the
+sha256 of the outcome of ``gaf_aggregate`` (gradient bytes, accepted
+count and mask, distances, skipped), or of the error it raised. It reads
+only ``gafsim.aggregate.gaf_aggregate``, so one copy can be run against
+each tree's ``src/``:
+
+    PYTHONPATH=src python3 tests/records_digest.py scans 3000 > after.json
+    PYTHONPATH=/path/to/parent/src python3 tests/records_digest.py scans 3000 > before.json
 
 This is a script, not a test module: pytest does not collect it. The
 golden-digest tests import ``run_digest`` from it.
@@ -84,6 +99,7 @@ from pathlib import Path
 import numpy as np
 
 from gafsim import gen_gaussian_clusters, gen_white_noise, inject_symmetric_noise, sample_macrobatch
+from gafsim.aggregate import gaf_aggregate
 from gafsim.cli import main as cli_main
 from gafsim.data import DataConfig
 from gafsim.models import ModelSpec
@@ -289,7 +305,40 @@ def sample_digest(index: int) -> str:
     return hashlib.sha256(b"".join(a.tobytes() for a in macrobatch)).hexdigest()
 
 
+def random_scan_case(index: int) -> tuple:
+    """(grads, tau, pivot) for scan case index."""
+    rng = np.random.default_rng((index, 3))
+    k = int(rng.integers(1, 9))
+    dim = int(np.exp(rng.uniform(0, np.log(3000))))
+    grads = rng.normal(size=(k, dim)) * 10.0 ** rng.uniform(-3, 3, (k, 1))
+    grads[rng.random(k) < 0.1] = 0.0
+    if rng.random() < 0.2:
+        grads[rng.integers(k)] = grads[rng.integers(k)]
+    if rng.random() < 0.15:
+        grads[rng.integers(k)] *= 10.0 ** rng.uniform(150, 200)
+    tau = float(rng.choice([0.0, 2.0, rng.uniform(0, 2)]))
+    return grads, tau, int(rng.integers(k))
+
+
+def scan_digest(index: int) -> str:
+    """sha256 of scan case index's gaf_aggregate outcome, or of its error."""
+    try:
+        # an overflowing row is the point of some cases: no warnings for it
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = gaf_aggregate(*random_scan_case(index))
+    except ValueError as exc:
+        return "error: " + hashlib.sha256(str(exc).encode()).hexdigest()
+    gradient = b"none" if out.gradient is None else out.gradient.tobytes()
+    return hashlib.sha256(gradient + json.dumps(
+        [out.accepted_count, out.accepted_mask, out.pairwise_distances, out.skipped]
+    ).encode()).hexdigest()
+
+
 def main(argv: list[str]) -> int:
+    if len(argv) > 1 and argv[1] == "scans":
+        n = int(argv[2]) if len(argv) > 2 else 3000
+        print(json.dumps({i: scan_digest(i) for i in range(n)}, indent=1))
+        return 0
     if len(argv) > 1 and argv[1] == "samples":
         n = int(argv[2]) if len(argv) > 2 else 2000
         print(json.dumps({i: sample_digest(i) for i in range(n)}, indent=1))

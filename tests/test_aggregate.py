@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
 
+from gafsim import aggregate
 from gafsim.aggregate import (
+    _strict_row_sums,
+    agreement_scan,
     average,
     draw_pivot,
     gaf_aggregate,
     running_scan_distances,
+    scan_work,
 )
 
 from conftest import N_PROPERTY_CASES
-from oracles import naive_filtered_aggregate, naive_mean
+from oracles import naive_filtered_aggregate, naive_mean, per_candidate_scan
 
 
 def v(*xs):
@@ -238,3 +242,165 @@ class TestProperties:
                 assert out.gradient is None
             else:
                 assert np.array_equal(out.gradient, ref_grad)
+
+
+def bits(values) -> bytes:
+    """float64 bytes of values, so -0.0 and 0.0 compare unequal."""
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+@pytest.mark.properties
+class TestStrictRowSums:
+    """_strict_row_sums is np.add.accumulate(row)[-1] for every row, bit for bit,
+    on both sides of the crossover, sign of zero included."""
+
+    @pytest.fixture(params=["as set", "accumulate", "column"])
+    def path(self, request, monkeypatch):
+        # the crossover as set, or every row count down one side (the column
+        # path from two rows on, as one row never takes it)
+        crossover = {"as set": aggregate._COLUMN_MIN_ROWS, "accumulate": 1 << 30, "column": 2}
+        monkeypatch.setattr(aggregate, "_COLUMN_MIN_ROWS", crossover[request.param])
+        return request.param
+
+    @staticmethod
+    def check(products):
+        spare = np.empty(products.size)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = [np.add.accumulate(row)[-1] for row in products]  # before the helper's writes
+            if np.isfinite(want).all():
+                assert bits(_strict_row_sums(products, spare)) == bits(want)
+            else:
+                with pytest.raises(ValueError, match="^non-finite dot product$"):
+                    _strict_row_sums(products, spare)
+        return np.isfinite(want).all()
+
+    def test_random_rows_at_every_scale(self, path, rng):
+        finite = 0
+        for _ in range(N_PROPERTY_CASES):
+            rows = int(rng.integers(1, 65))
+            dim = int(np.exp(rng.uniform(0, np.log(6000))))
+            # a scale per row from 1e-300 to 1e308, where entries and sums overflow to inf
+            with np.errstate(over="ignore"):
+                products = rng.normal(size=(rows, dim)) * 10.0 ** rng.uniform(-300, 308, (rows, 1))
+            finite += self.check(products)
+        assert 0 < finite < N_PROPERTY_CASES
+
+    def test_signed_zeros_and_subnormals(self, path, rng):
+        for _ in range(N_PROPERTY_CASES):
+            rows = int(rng.integers(1, 65))
+            dim = int(rng.integers(1, 300))
+            zeros = rng.choice([0.0, -0.0], size=(rows, dim))
+            zeros[rng.random(rows) < 0.3] = -0.0  # whole rows of -0.0 sum to -0.0
+            self.check(zeros)
+            subnormal = rng.normal(size=(rows, dim)) * 10.0 ** rng.uniform(-323, -308, (rows, 1))
+            self.check(np.where(rng.random((rows, dim)) < 0.3, zeros, subnormal))
+
+    @pytest.mark.parametrize("rows", [2, 3, 5, 6, 7])
+    def test_few_long_columns(self, path, rows, rng):
+        # few columns over more rows than numpy's 8192-element buffer
+        for dim in (1, 2, 8191, 8193, 20000):
+            self.check(rng.normal(size=(rows, dim)) * 10.0 ** rng.uniform(-3, 3, (rows, 1)))
+
+    def test_one_row_is_never_reduced_by_column(self, rng):
+        # numpy sums a one-column reduction pairwise, not in index order: the
+        # accumulate path, which leaves the row's running sums in place, takes it
+        assert aggregate._COLUMN_MIN_ROWS > 1
+        for dim in (1, 7, 129, 6000):
+            row = rng.normal(size=(1, dim))
+            want = np.add.accumulate(row[0])
+            _strict_row_sums(row, np.empty(dim))
+            assert row[0].tobytes() == want.tobytes()
+
+
+def random_group(rng, scale_exp=(-3, 3)):
+    """A random (L, k, P) block with L and k in 1-8 and P in 1-6000 (log-uniform),
+    a random scale per row, some zero and duplicate rows, and per-leg taus (0, 2
+    or random) and pivots (one drawn pivot for every leg, or fixed per leg)."""
+    legs, k = (int(n) for n in rng.integers(1, 9, size=2))
+    dim = int(np.exp(rng.uniform(0, np.log(6000))))
+    block = rng.normal(size=(legs, k, dim)) * 10.0 ** rng.uniform(*scale_exp, (legs, k, 1))
+    block[rng.random((legs, k)) < 0.1] = 0.0
+    for leg in range(legs):
+        if rng.random() < 0.2:
+            block[leg, rng.integers(k)] = block[leg, rng.integers(k)]
+    taus = [float(rng.choice([0.0, 2.0, rng.uniform(0, 2)])) for _ in range(legs)]
+    drawn = int(rng.integers(k))
+    pivots = [drawn if rng.random() < 0.5 else int(rng.integers(k)) for _ in range(legs)]
+    return block, taus, pivots
+
+
+def assert_same_outcome(out, ref):
+    assert bits(out.pairwise_distances) == bits(ref.pairwise_distances)
+    assert out.accepted_mask == ref.accepted_mask
+    assert out.accepted_count == ref.accepted_count
+    assert out.skipped == ref.skipped
+    assert (out.gradient is None) == (ref.gradient is None)
+    if ref.gradient is not None:
+        assert out.gradient.tobytes() == ref.gradient.tobytes()
+
+
+class TestAgreementScan:
+    """One agreement_scan call over a group's (L, k, P) block gives each leg the
+    outcome of the per-candidate loop, byte for byte."""
+
+    def test_matches_per_candidate_loop(self, rng):
+        for _ in range(500):
+            block, taus, pivots = random_group(rng)
+            before = block.copy()
+            outs = agreement_scan(block, taus, pivots, scan_work(*block.shape))
+            assert len(outs) == len(block)
+            for leg, out in enumerate(outs):
+                assert_same_outcome(out, per_candidate_scan(block[leg], taus[leg], pivots[leg]))
+            assert np.array_equal(block, before)
+
+    def test_public_wrapper_is_the_one_leg_scan(self, rng):
+        for _ in range(100):
+            block, taus, pivots = random_group(rng)
+            for leg in range(len(block)):
+                assert_same_outcome(gaf_aggregate(list(block[leg]), taus[leg], pivots[leg]),
+                                    per_candidate_scan(block[leg], taus[leg], pivots[leg]))
+
+    def test_work_space_is_reused_across_shapes(self, rng):
+        work = scan_work(8, 8, 6000)
+        for _ in range(50):
+            block, taus, pivots = random_group(rng)
+            for leg, out in enumerate(agreement_scan(block, taus, pivots, work)):
+                assert_same_outcome(out, per_candidate_scan(block[leg], taus[leg], pivots[leg]))
+
+    def test_overflow_raises_when_the_loop_does(self, rng):
+        raised = 0
+        for _ in range(300):
+            # row scales up to 1e160, whose squares overflow
+            block, taus, pivots = random_group(rng, scale_exp=(140, 160))
+            failing = []
+            for leg in range(len(block)):
+                try:
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        per_candidate_scan(block[leg], taus[leg], pivots[leg])
+                except ValueError as exc:
+                    failing.append(str(exc))
+            with np.errstate(over="ignore", invalid="ignore"):
+                if failing:
+                    assert set(failing) == {"non-finite dot product"}
+                    with pytest.raises(ValueError, match="^non-finite dot product$"):
+                        agreement_scan(block, taus, pivots, scan_work(*block.shape))
+                    raised += 1
+                else:
+                    agreement_scan(block, taus, pivots, scan_work(*block.shape))
+        assert 0 < raised < 300
+
+    def test_empty_vectors_are_directionless(self):
+        # no entries: every dot product is 0.0, so every distance is 2.0
+        block = np.empty((2, 3, 0))
+        outs = agreement_scan(block, [2.0, 1.0], [0, 2], scan_work(2, 3, 0))
+        for leg, out in enumerate(outs):
+            assert_same_outcome(out, per_candidate_scan(block[leg], [2.0, 1.0][leg], [0, 2][leg]))
+        assert [o.pairwise_distances for o in outs] == [[2.0, 2.0]] * 2
+        assert [o.accepted_count for o in outs] == [3, 1]
+
+    def test_lone_gradients_skip_without_a_sum(self):
+        # k = 1 has no candidate, so no dot product is taken, even one that would overflow
+        block = np.full((3, 1, 4), 1e300)
+        outs = agreement_scan(block, [2.0, 1.0, 0.0], [0, 0, 0], scan_work(3, 1, 4))
+        assert [(o.gradient, o.accepted_count, o.accepted_mask, o.pairwise_distances, o.skipped)
+                for o in outs] == [(None, 1, [True], [], True)] * 3

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from gafsim.aggregate import gaf_aggregate
+from gafsim.aggregate import agreement_scan
 from gafsim.data import DataConfig, sample_macrobatch
 from gafsim import sim
 from gafsim.models import MLP1, SOFTMAX_LINEAR, ModelSpec, init_params, loss_and_grad
@@ -523,28 +523,63 @@ class TestRunGroups:
         # leg i writes into row i of the group's block
         assert all(np.shares_memory(grad, block[i]) for i, grad in enumerate(per_leg))
 
-    def test_every_leg_step_makes_one_scan_call(self, monkeypatch):
-        # averaging is the scan at tau 2 from pivot 0, so neither average nor
-        # running_scan_distances is called
+    def test_every_step_makes_one_group_scan(self, monkeypatch):
+        # one agreement_scan call per step filters every leg; averaging is the
+        # scan at tau 2 from pivot 0, so no per-leg scan or average is called
         scans, others = [], []
 
-        def recording(grads, tau, pivot):
-            scans.append((tau, pivot))
-            return gaf_aggregate(grads, tau, pivot)
+        def recording(grads, taus, pivots, work):
+            scans.append((len(grads), list(taus), list(pivots)))
+            return agreement_scan(grads, taus, pivots, work)
 
-        monkeypatch.setattr(sim, "gaf_aggregate", recording)
-        monkeypatch.setattr(sim, "average", lambda *args: others.append("average"))
-        monkeypatch.setattr(sim, "running_scan_distances",
-                            lambda *args: others.append("running_scan_distances"))
+        monkeypatch.setattr(sim, "agreement_scan", recording)
+        for name in ("gaf_aggregate", "average", "running_scan_distances"):
+            monkeypatch.setattr(sim, name, lambda *args, name=name: others.append(name))
         cfg = base_cfg(k=3, steps=20)
         run_detailed([cfg, replace(cfg, aggregator="gaf", tau=0.9),
                       replace(cfg, aggregator="gaf", tau=0.9, pivot=2)])
-        assert len(scans) == 60 and others == []
-        assert scans[0::3] == [(2.0, 0)] * 20
+        assert len(scans) == 20 and others == []
+        assert all(legs == 3 and taus == [2.0, 0.9, 0.9] for legs, taus, _ in scans)
+        pivots = [p for _, _, p in scans]
+        assert [p[0] for p in pivots] == [0] * 20 and [p[2] for p in pivots] == [2] * 20
         # the middle leg takes each step's drawn pivot
-        assert {tau for tau, _ in scans[1::3]} == {0.9}
-        assert {pivot for _, pivot in scans[1::3]} == {0, 1, 2}
-        assert scans[2::3] == [(0.9, 2)] * 20
+        assert {p[1] for p in pivots} == {0, 1, 2}
+
+    def test_scan_overflows_in_different_rounds_name_the_lower_leg(self, monkeypatch):
+        # At step 5 leg 2's rows overflow in the scan's first round (a squared
+        # norm), and leg 1's in its second: its pivot and first candidate are
+        # each 1e154 in one entry, so their squares and dot are finite and the
+        # candidate is admitted, but their sum's squared norm is not. A
+        # leg-by-leg pass meets leg 1 first, so the group names it.
+        cfg = base_cfg(k=3, steps=10)
+        legs = [cfg, replace(cfg, lr=0.02), replace(cfg, lr=0.03), replace(cfg, lr=0.04)]
+        dim = init_params(MODEL).size
+        crafted = {1: np.zeros((3, dim)), 2: np.ones((3, dim))}
+        crafted[1][:2, 0] = 1e154
+        crafted[1][2] = 1.0
+        crafted[2][1, 0] = 1e200
+        group_blocks = []
+
+        def crafting(params, features, labels, spec, weight_decay, grad):
+            losses = loss_and_grad(params, features, labels, spec, weight_decay, grad)
+            if len(params) == len(legs):
+                group_blocks.append(grad)
+            if len(group_blocks) == 5:
+                whole = group_blocks[0]
+                for i, rows in crafted.items():
+                    if grad is whole:
+                        whole[i] = rows
+                    elif np.shares_memory(grad, whole[i]):
+                        grad[0] = rows
+            return losses
+
+        monkeypatch.setattr(sim, "loss_and_grad", crafting)
+        with pytest.raises(ValueError, match="^non-finite dot product$"):
+            agreement_scan(crafted[1][None], [2.0], [0], np.empty((2, 4 * dim)))
+        with pytest.raises(RuntimeError) as info:
+            run_detailed(legs)
+        assert str(info.value) == ("training diverged at step 5 in group leg 1: "
+                                   "non-finite dot product")
 
     def test_shared_fields_are_config_fields(self):
         assert set(GROUP_FIELDS) <= {f.name for f in fields(RunConfig)}
