@@ -208,12 +208,10 @@ def sample_macrobatch(
             raise ValueError(
                 f"stratified sampling needs u divisible by num_classes ({u} % {ds.num_classes} != 0)"
             )
+        check_class_capacity(ds, k, u)
         per_class = u // ds.num_classes
         need = k * per_class
         rows, starts, sizes = ds.class_layout
-        if sizes.min() < need:
-            c = int(np.argmax(sizes < need))
-            raise ValueError(f"class {c} has {sizes[c]} samples, need {need} for k={k}, u={u}")
         # the replay loops over need, the choice calls over classes: replay when it makes
         # fewer numpy calls; choice's tail-shuffle branch needs need > 10000 // 50
         if 2 * need <= ds.num_classes and need <= 200:
@@ -231,6 +229,15 @@ def sample_macrobatch(
         raise ValueError(f"unknown sampling mode {mode!r}")
 
     return picks, ds.features[picks], ds.labels[picks]
+
+
+def check_class_capacity(ds: Dataset, k: int, u: int) -> None:
+    """Raise a ValueError naming ds's first class short of a stratified k * u macrobatch."""
+    need = k * (u // ds.num_classes)
+    sizes = ds.class_layout[2]
+    if sizes.min() < need:
+        c = int(np.argmax(sizes < need))
+        raise ValueError(f"class {c} has {sizes[c]} samples, need {need} for k={k}, u={u}")
 
 
 def _replay_choice(rng: np.random.Generator, sizes: np.ndarray, need: int) -> np.ndarray:

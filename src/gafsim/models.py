@@ -1,11 +1,12 @@
 """Toy differentiable classifiers with closed-form gradients.
 
-Two model kinds: multinomial logistic regression ("softmax_linear") and a
-one-hidden-layer MLP ("mlp1", tanh or relu). Both return exact analytic
-gradients of mean cross-entropy plus coupled L2 weight decay, flattened in
-parameter order, so micro-gradients can be compared and aggregated as flat
-vectors. The parameters are one such flat float64 vector too; its layout
-comes only from ModelSpec.layer_shapes().
+Two model kinds, run by one layer loop: multinomial logistic regression
+("softmax_linear", no hidden layer) and a one-hidden-layer MLP ("mlp1",
+tanh or relu). Both return exact analytic gradients of mean cross-entropy
+plus coupled L2 weight decay, flattened in parameter order, so
+micro-gradients can be compared and aggregated as flat vectors. The
+parameters are one such flat float64 vector too; its layout, and so the
+layer count, comes only from ModelSpec.layer_shapes().
 """
 
 from __future__ import annotations
@@ -53,12 +54,8 @@ class ModelSpec:
             raise ValueError("init_sigma must be >= 0")
 
     def layer_shapes(self) -> list[tuple[tuple[int, int], tuple[int]]]:
-        if self.kind == SOFTMAX_LINEAR:
-            return [((self.num_classes, self.input_dim), (self.num_classes,))]
-        return [
-            ((self.hidden_dim, self.input_dim), (self.hidden_dim,)),
-            ((self.num_classes, self.hidden_dim), (self.num_classes,)),
-        ]
+        dims = [self.input_dim] + [self.hidden_dim] * (self.kind == MLP1) + [self.num_classes]
+        return [((rows, cols), (rows,)) for cols, rows in zip(dims, dims[1:])]
 
 
 def _layer_views(flat: np.ndarray, shapes) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -101,17 +98,15 @@ def _forward(layers, features: np.ndarray, spec: ModelSpec):
     """The model's forward pass, on the (weight, bias) views `layers`, over any
     leading axes of `features` and of the views (broadcast against each other).
 
-    Returns (pre-activation, or None for softmax_linear; the last layer's
-    input; logits).
+    Returns (each layer's input, `features` first; each hidden layer's
+    pre-activation; logits).
     """
-    pre = None
-    last_in = features
-    if spec.kind == MLP1:
-        w1, b1 = layers[0]
-        pre = features @ w1.swapaxes(-1, -2) + b1[..., None, :]
-        last_in = np.tanh(pre) if spec.activation == "tanh" else np.maximum(pre, 0.0)
+    ins, pres = [features], []
+    for w, b in layers[:-1]:
+        pres.append(ins[-1] @ w.swapaxes(-1, -2) + b[..., None, :])
+        ins.append(np.tanh(pres[-1]) if spec.activation == "tanh" else np.maximum(pres[-1], 0.0))
     w, b = layers[-1]
-    return pre, last_in, last_in @ w.swapaxes(-1, -2) + b[..., None, :]
+    return ins, pres, ins[-1] @ w.swapaxes(-1, -2) + b[..., None, :]
 
 
 def loss_and_grad(
@@ -168,35 +163,25 @@ def loss_and_grad(
     # (L, 1, rows, cols) weights: each row's parameters meet all k microbatches
     layers = _layer_views(params[:, None], shapes)
     views = _layer_views(grad, shapes)
-    pre, last_in, logits = _forward(layers, features, spec)
-    w = layers[-1][0]
+    ins, pres, logits = _forward(layers, features, spec)
     log_p = _log_softmax(logits)
     ce = -log_p.reshape(-1)[picks].reshape(n_rows, k, n).mean(axis=-1)
-    dlogits = np.exp(log_p)
-    dlogits.reshape(-1)[picks] -= 1.0
-    dlogits /= n
-    gw, gb = views[-1]
-    np.matmul(dlogits.swapaxes(-1, -2), last_in, out=gw)
-    # a matmul sums from +0.0, so it never yields -0.0, and adding a zero decay's
-    # +-0.0 changes no bit: the multiply-adds run only when some row has decay
-    if decays:
-        gw += decay[..., None, None] * w
-    dlogits.sum(axis=-2, out=gb)
-    reg = (w * w).reshape(n_rows, -1).sum(axis=-1)
-    if spec.kind == MLP1:
-        dhidden = dlogits @ w
-        if spec.activation == "tanh":
-            dpre = dhidden * (1.0 - last_in * last_in)
-        else:
-            # relu subgradient at exactly 0 is taken as 0
-            dpre = dhidden * (pre > 0.0)
-        w1 = layers[0][0]
-        gw1, gb1 = views[0]
-        np.matmul(dpre.swapaxes(-1, -2), features, out=gw1)
+    dout = np.exp(log_p)  # the gradient at the current layer's output, logits first
+    dout.reshape(-1)[picks] -= 1.0
+    dout /= n
+    reg = 0.0  # exact: a sum of squares is never -0.0, so adding 0.0 changes no bit
+    for i in reversed(range(len(layers))):
+        (w, _), (gw, gb) = layers[i], views[i]
+        np.matmul(dout.swapaxes(-1, -2), ins[i], out=gw)
+        # a matmul sums from +0.0, so it never yields -0.0, and adding a zero decay's
+        # +-0.0 changes no bit: the multiply-adds run only when some row has decay
         if decays:
-            gw1 += decay[..., None, None] * w1
-        dpre.sum(axis=-2, out=gb1)
-        reg = (w1 * w1).reshape(n_rows, -1).sum(axis=-1) + reg
+            gw += decay[..., None, None] * w
+        dout.sum(axis=-2, out=gb)
+        reg = (w * w).reshape(n_rows, -1).sum(axis=-1) + reg
+        if i:  # through the activation; relu's subgradient at exactly 0 is taken as 0
+            dout = dout @ w
+            dout = dout * (1.0 - ins[i] * ins[i] if spec.activation == "tanh" else pres[i - 1] > 0.0)
     # the add also runs at weight_decay 0: it turns a -0.0 cross-entropy into 0.0,
     # and a non-finite reg (a non-finite weight) into a non-finite loss
     losses = ce + 0.5 * decay * reg[:, None]

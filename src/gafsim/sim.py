@@ -104,8 +104,7 @@ class RunConfig:
             raise ValueError("tau must be in [0, 2]")
         if not 0.0 < self.val_fraction < 1.0:
             raise ValueError("val_fraction must be in (0, 1)")
-        # a CSV file's dims and rows are known only once it is read (run_detailed checks
-        # them), and each class's capacity only once the split is drawn (sampling does)
+        # run_detailed checks a CSV file's dims and rows, and each class's rows in the split
         if self.data.kind != data_mod.CSV:
             classes = self.data.num_classes
             if classes != self.model.num_classes:
@@ -189,15 +188,23 @@ def run_detailed(cfgs: Sequence[RunConfig]) -> list[RunResult]:
     if first.data.noise_rate > 0:
         ds = data_mod.inject_symmetric_noise(ds, first.data.noise_rate,
                                              derive_seed(master, _TAG_NOISE))
+    source = first.data.path or f"generated {first.data.kind} data"
     # RunConfig has checked generated data; a CSV file's dims and rows are known only now
     if ds.dim != first.model.input_dim or ds.num_classes > first.model.num_classes:
         raise ValueError(
-            f"{first.data.path}: {ds.dim} features and {ds.num_classes} classes, run.model "
+            f"{source}: {ds.dim} features and {ds.num_classes} classes, run.model "
             f"has input_dim {first.model.input_dim} and num_classes {first.model.num_classes}"
         )
-    n_val = _split(first, ds.n, ds.num_classes, f"{first.data.path}: ")
+    n_val = _split(first, ds.n, ds.num_classes, f"{source}: ")
     perm = np.random.default_rng(derive_seed(master, _TAG_SPLIT)).permutation(ds.n)
     train = take(ds, perm[n_val:])
+    if first.sampling == data_mod.STRATIFIED:
+        try:
+            data_mod.check_class_capacity(train, k, first.u)
+        except ValueError as exc:
+            raise ValueError(f"{source}: {exc} in the training split left by run.val_fraction "
+                             f"{first.val_fraction:g} (run.k * run.u / num_classes rows per "
+                             "class)") from None
     val_x, val_y = ds.features[perm[:n_val]], ds.clean_labels[perm[:n_val]]
 
     spec = replace(first.model, init_seed=derive_seed(master, _TAG_INIT, first.model.init_seed))

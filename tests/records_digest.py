@@ -81,6 +81,21 @@ each tree's ``src/``:
     PYTHONPATH=src python3 tests/records_digest.py scans 3000 > after.json
     PYTHONPATH=/path/to/parent/src python3 tests/records_digest.py scans 3000 > before.json
 
+The ``models`` mode checks the gradient evaluation alone. Case i is a
+``(spec, params, features, labels, weight_decay)`` drawn from a generator
+seeded with ``(i, 4)``: both model kinds and both activations, L 1-4
+parameter rows on k 1-5 microbatches of u 1-30 rows, weight decay 0,
+greater than 0 or mixed across rows, and ``init_sigma`` up to 10; about
+one case in ten has weights near 1e155 or features near 1e300, so that a
+square or a product overflows. It prints, per case, the sha256 of the
+``loss_and_grad`` losses and gradient block followed by each row's
+``predict`` output on the case's features, or of the error raised. It
+reads only public ``gafsim.models`` names, so one copy can be run
+against each tree's ``src/``:
+
+    PYTHONPATH=src python3 tests/records_digest.py models 2000 > after.json
+    PYTHONPATH=/path/to/parent/src python3 tests/records_digest.py models 2000 > before.json
+
 This is a script, not a test module: pytest does not collect it. The
 golden-digest tests import ``run_digest`` from it.
 """
@@ -102,7 +117,7 @@ from gafsim import gen_gaussian_clusters, gen_white_noise, inject_symmetric_nois
 from gafsim.aggregate import gaf_aggregate
 from gafsim.cli import main as cli_main
 from gafsim.data import DataConfig
-from gafsim.models import ModelSpec
+from gafsim.models import ModelSpec, init_params, loss_and_grad, predict
 from gafsim.sim import RunConfig, RunResult, run_detailed
 from gafsim.telemetry import write_records
 
@@ -334,7 +349,51 @@ def scan_digest(index: int) -> str:
     ).encode()).hexdigest()
 
 
+def random_model_case(index: int) -> tuple:
+    """(spec, params, features, labels, weight_decay) for model case index."""
+    rng = np.random.default_rng((index, 4))
+    kind = str(rng.choice(["softmax_linear", "mlp1"]))
+    spec = ModelSpec(kind=kind, input_dim=int(rng.integers(1, 20)),
+                     num_classes=int(rng.integers(2, 7)),
+                     hidden_dim=int(rng.integers(1, 40)) if kind == "mlp1" else 0,
+                     activation=str(rng.choice(["tanh", "relu"])),
+                     init_sigma=float(rng.choice([0.0, 0.1, 1.0, rng.uniform(0, 10)])))
+    n_rows, k, u = int(rng.integers(1, 5)), int(rng.integers(1, 6)), int(rng.integers(1, 31))
+    params = np.array([init_params(replace(spec, init_seed=int(s)))
+                       for s in rng.integers(1 << 30, size=n_rows)])
+    if rng.random() < 0.1:
+        params *= 10.0 ** rng.uniform(150, 160)  # squares past float64's range
+    scale = 10.0 ** rng.uniform(280, 308) if rng.random() < 0.1 else 10.0 ** rng.uniform(-1, 2)
+    features = rng.normal(size=(k, u, spec.input_dim)) * scale
+    labels = rng.integers(0, spec.num_classes, size=(k, u))
+    decay = rng.choice([0.0, 1e-3, 0.05], size=n_rows)
+    # weight decay 0 on every row, greater than 0 on every row, or mixed across rows
+    decay = {0: np.zeros(n_rows), 1: decay + 1e-4, 2: decay}[int(rng.integers(3))]
+    return spec, params, features, labels, decay
+
+
+def model_digest(index: int) -> str:
+    """sha256 of model case index's losses, gradient block and per-row predict
+    output, or of its error."""
+    spec, params, features, labels, decay = random_model_case(index)
+    grad = np.empty((params.shape[0], features.shape[0], params.shape[1]))
+    try:
+        # an overflowing case is the point of some cases: no warnings for it
+        with np.errstate(over="ignore", invalid="ignore"):
+            losses = loss_and_grad(params, features, labels, spec, decay, grad)
+            flat = features.reshape(-1, spec.input_dim)
+            blob = losses.tobytes() + grad.tobytes() + b"".join(
+                predict(row, flat, spec).tobytes() for row in params)
+    except ValueError as exc:
+        return "error: " + hashlib.sha256(str(exc).encode()).hexdigest()
+    return hashlib.sha256(blob).hexdigest()
+
+
 def main(argv: list[str]) -> int:
+    if len(argv) > 1 and argv[1] == "models":
+        n = int(argv[2]) if len(argv) > 2 else 2000
+        print(json.dumps({i: model_digest(i) for i in range(n)}, indent=1))
+        return 0
     if len(argv) > 1 and argv[1] == "scans":
         n = int(argv[2]) if len(argv) > 2 else 3000
         print(json.dumps({i: scan_digest(i) for i in range(n)}, indent=1))

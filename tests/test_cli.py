@@ -199,6 +199,26 @@ class TestRunCommand:
         assert "diverged" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("source", ["generated", "csv"])
+    def test_short_class_names_data_and_keys(self, tmp_path, capsys, command, source):
+        # k=5, u=3 needs 5 rows of each of 3 classes, but the split leaves 13 or 12 rows
+        data = {"kind": "white_noise", "n": 16}
+        if source == "csv":
+            data = {"kind": "csv", "path": str(tmp_path / "data.csv")}
+            rows = [f"{i}.5,{i % 3}" for i in range(15)]
+            (tmp_path / "data.csv").write_text("f0,label\n" + "\n".join(rows) + "\n")
+        model = {"kind": "softmax_linear", "input_dim": 6 if source == "generated" else 1,
+                 "num_classes": 3}
+        path = sweep_config(tmp_path, {"tau_grid": [0.97]}, k=5, u=3, model=model, data=data)
+        assert main([command, "--config", str(path)]) == 1
+        short = {"generated": "generated white_noise data: class 0 has 4 samples",
+                 "csv": f"{tmp_path / 'data.csv'}: class 0 has 3 samples"}[source]
+        assert capsys.readouterr().err == (
+            f"error: {short}, need 5 for k=5, u=3 in the training split left by "
+            "run.val_fraction 0.2 (run.k * run.u / num_classes rows per class)\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("lr,weight_decay,step", [(1e8, 0.1, 23), (1e300, 0.0, 2)],
                              ids=["decay", "no-decay"])
     def test_diverging_run_prints_one_error_line(self, tmp_path, lr, weight_decay, step):

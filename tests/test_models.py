@@ -279,8 +279,8 @@ class TestStacked:
             bad = params.copy()
             layers(bad, MLP_TANH)[0][0][0, 0] = weight
             with np.errstate(invalid="ignore"):
-                _, last_in, logits = models._forward(layers(bad, MLP_TANH), x, MLP_TANH)
-            assert np.isfinite(last_in).all() and np.isfinite(logits).all()
+                ins, _, logits = models._forward(layers(bad, MLP_TANH), x, MLP_TANH)
+            assert np.isfinite(ins[-1]).all() and np.isfinite(logits).all()
             with pytest.raises(ValueError, match="^non-finite loss or gradient$"):
                 with np.errstate(invalid="ignore"):
                     one_row(bad, x, y, MLP_TANH, weight_decay=0.0)

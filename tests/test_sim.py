@@ -592,8 +592,9 @@ class TestRunGroups:
 
 
 class TestGoldenDigests:
-    """sha256 of the records files plus the final parameters, recorded with
-    one gradient call per microbatch: any change to the numerics fails here."""
+    """sha256 of the records files plus the final parameters, the first three
+    recorded with one gradient call per microbatch, the linear-model row with
+    one per step: any change to the numerics fails here."""
 
     @pytest.mark.parametrize("cfg,digest", [
         (replace(CLUSTER, aggregator="avg", tau=2.0),
@@ -602,6 +603,12 @@ class TestGoldenDigests:
          "3321921fbf12fd027a72b6af45fff5aa3589547e7ade724c1983f7e59e8eeb29"),
         (NOISE_SWEEP_CELL,
          "0a89b2e39f09c091d3f059775218b3ad9b9ab54432637d58af0fe2cb71cd053f"),
-    ], ids=["noisy-cluster-avg", "noisy-cluster-gaf", "noise-sweep-gaf-tau0.97"])
+        # the linear model, with the decay multiply-add running
+        (replace(CLUSTER, model=ModelSpec(kind=SOFTMAX_LINEAR, input_dim=32, num_classes=10,
+                                          init_sigma=0.1),
+                 aggregator="gaf", tau=0.97, weight_decay=1e-3),
+         "57a3b71f157159854990d1c3163d26f29bcb869c86d0825edeb7117bdcae82f4"),
+    ], ids=["noisy-cluster-avg", "noisy-cluster-gaf", "noise-sweep-gaf-tau0.97",
+            "cluster-linear-gaf-decay"])
     def test_run_digest_unchanged(self, cfg, digest):
         assert run_digest(cfg) == digest
