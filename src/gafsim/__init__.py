@@ -6,12 +6,7 @@ distance to the running sum exceeds a threshold; a macrobatch with no
 agreeing pair is skipped without touching optimizer or scheduler state.
 """
 
-from .aggregate import (
-    AggregationOutcome,
-    average,
-    gaf_aggregate,
-    running_scan_distances,
-)
+from .aggregate import AggregationOutcome, gaf_aggregate
 from .data import (
     DataConfig,
     Dataset,
@@ -23,7 +18,6 @@ from .data import (
     sample_macrobatch,
     take,
 )
-from .gradvec import cosine_distance, dot, l2_norm
 from .models import (
     ModelSpec,
     accuracy,
@@ -51,9 +45,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AggregationOutcome",
-    "average",
     "gaf_aggregate",
-    "running_scan_distances",
     "DataConfig",
     "Dataset",
     "gen_gaussian_clusters",
@@ -63,9 +55,6 @@ __all__ = [
     "make_dataset",
     "sample_macrobatch",
     "take",
-    "cosine_distance",
-    "dot",
-    "l2_norm",
     "ModelSpec",
     "accuracy",
     "init_params",

@@ -54,7 +54,6 @@ class AggregationOutcome:
     accepted_count: int
     accepted_mask: list[bool]
     pairwise_distances: list[float]
-    skipped: bool
 
 
 def _validated(grads: list[np.ndarray] | np.ndarray) -> np.ndarray:
@@ -192,8 +191,7 @@ def agreement_scan(block: np.ndarray, taus: Sequence[float], pivots: Sequence[in
         if count > 1:
             gradient = running[leg]
             gradient /= count
-        outcomes.append(AggregationOutcome(gradient, count, masks[leg], distances[leg],
-                                           count == 1))
+        outcomes.append(AggregationOutcome(gradient, count, masks[leg], distances[leg]))
     return outcomes
 
 

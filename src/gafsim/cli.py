@@ -249,19 +249,27 @@ def cmd_sweep(exp: dict) -> int:
     # that make them: configs with equal group keys run in lockstep
     pairs = []
     groups: dict[tuple, dict[RunConfig, None]] = {}
-    for value, cell in cells:
+    for j, (value, cell) in enumerate(cells):
         for seed in exp["seeds"]:
             # averaging == admit-all threshold; one baseline serves every tau
             base = replace(cell, aggregator=AGG_AVERAGING, tau=2.0, master_seed=seed)
             gaf = replace(cell, aggregator=AGG_GAF, master_seed=seed)
-            pairs.append((value, seed, base, gaf))
+            pairs.append((j, value, seed, base, gaf))
             groups.setdefault(group_key(base), {}).update(dict.fromkeys((base, gaf)))
 
     summaries: dict[RunConfig, dict] = {}
-    for i, (value, seed, base, gaf) in enumerate(pairs):
+    for i, (j, value, seed, base, gaf) in enumerate(pairs):
         if gaf not in summaries:  # the pair's group has not run yet
-            legs = list(groups[group_key(base)])
-            summaries.update(zip(legs, _execute_one(legs, out_root)))
+            key = group_key(base)
+            legs = list(groups[key])
+            try:
+                summaries.update(zip(legs, _execute_one(legs, out_root)))
+            except (ValueError, RuntimeError) as exc:
+                # a group of one cell's value names that cell; a tau-grid group runs
+                # every cell of its seed, and a repeated value makes several cells
+                if axis == "tau_grid" or {p[0] for p in pairs if group_key(p[3]) == key} != {j}:
+                    raise
+                raise type(exc)(f"sweep.{axis}[{j}], seed {seed}: {exc}") from None
         base_summary, gaf_summary = summaries[base], summaries[gaf]
         improvement = None
         if gaf_summary["final_val_acc"] is not None and base_summary["final_val_acc"] is not None:

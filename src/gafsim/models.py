@@ -12,6 +12,7 @@ layer count, comes only from ModelSpec.layer_shapes().
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -57,34 +58,34 @@ class ModelSpec:
         dims = [self.input_dim] + [self.hidden_dim] * (self.kind == MLP1) + [self.num_classes]
         return [((rows, cols), (rows,)) for cols, rows in zip(dims, dims[1:])]
 
+    @cached_property
+    def layout(self) -> tuple[list[tuple[tuple[int, int], slice, slice]], int]:
+        """(weight shape, weight slice, bias slice) of each layer in the flat vector, and its length."""
+        layers, end = [], 0
+        for (rows, cols), (n_bias,) in self.layer_shapes():
+            mid = end + rows * cols
+            layers.append(((rows, cols), slice(end, mid), slice(mid, end := mid + n_bias)))
+        return layers, end
 
-def _layer_views(flat: np.ndarray, shapes) -> list[tuple[np.ndarray, np.ndarray]]:
+
+def _layer_views(flat: np.ndarray, spec: ModelSpec) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per-layer (weight, bias) views into the last axis of `flat`, in parameter order.
 
     A leading axis (one row per worker) carries through to every view.
     """
-    expected = sum(rows * cols + n_bias for (rows, cols), (n_bias,) in shapes)
-    if flat.shape[-1] != expected:
-        raise ValueError(f"flat vector has {flat.shape[-1]} entries, expected {expected}")
-    lead = flat.shape[:-1]
-    views = []
-    offset = 0
-    for (rows, cols), (n_bias,) in shapes:
-        w = flat[..., offset : offset + rows * cols].reshape(lead + (rows, cols))
-        offset += rows * cols
-        views.append((w, flat[..., offset : offset + n_bias]))
-        offset += n_bias
-    return views
+    layers, size = spec.layout
+    if flat.shape[-1] != size:
+        raise ValueError(f"flat vector has {flat.shape[-1]} entries, expected {size}")
+    return [(flat[..., w].reshape(flat.shape[:-1] + shape), flat[..., b]) for shape, w, b in layers]
 
 
 def init_params(spec: ModelSpec) -> np.ndarray:
     """All parameters as one flat float64 vector laid out by spec.layer_shapes(),
     drawn deterministically from spec.init_seed."""
-    shapes = spec.layer_shapes()
-    params = np.zeros(sum(r * c + n for (r, c), (n,) in shapes))
+    params = np.zeros(spec.layout[1])
     if spec.init_sigma > 0:
         rng = np.random.default_rng(spec.init_seed)
-        for w, _ in _layer_views(params, shapes):
+        for w, _ in _layer_views(params, spec):
             w[...] = rng.normal(0.0, spec.init_sigma, size=w.shape)
     return params
 
@@ -159,10 +160,9 @@ def loss_and_grad(
     # flat index of each row's label entry in an (L, k, n, c) array
     picks = (np.arange(0, n_rows * k * n * c, c).reshape(n_rows, -1) + labels.ravel()).ravel()
 
-    shapes = spec.layer_shapes()
     # (L, 1, rows, cols) weights: each row's parameters meet all k microbatches
-    layers = _layer_views(params[:, None], shapes)
-    views = _layer_views(grad, shapes)
+    layers = _layer_views(params[:, None], spec)
+    views = _layer_views(grad, spec)
     ins, pres, logits = _forward(layers, features, spec)
     log_p = _log_softmax(logits)
     ce = -log_p.reshape(-1)[picks].reshape(n_rows, k, n).mean(axis=-1)
@@ -205,7 +205,7 @@ def predict(params: np.ndarray, features: np.ndarray, spec: ModelSpec) -> np.nda
     set is (an empty set is one empty chunk).
     """
     features = np.asarray(features, dtype=np.float64)
-    layers = _layer_views(params, spec.layer_shapes())
+    layers = _layer_views(params, spec)
     rows = _predict_chunk_rows(layers)
     return np.concatenate(
         [

@@ -46,7 +46,9 @@ class StepRecord:
     """Telemetry for one macrobatch step.
 
     cos_distances holds the agreement-scan distances (length k-1);
-    train_acc/val_acc are None except on evaluation steps.
+    train_acc/val_acc are None except on evaluation steps. skipped is true
+    exactly when accepted_count is 1, except at k = 1 under averaging, which
+    steps on its lone gradient (accepted_count 1, skipped false).
     """
 
     step: int

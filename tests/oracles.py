@@ -67,9 +67,7 @@ def per_candidate_scan(grads, tau, pivot):
             running += grads[i]
             count += 1
             mask[i] = True
-    skipped = count == 1
-    return AggregationOutcome(None if skipped else running / count, count, mask, distances,
-                              skipped)
+    return AggregationOutcome(None if count == 1 else running / count, count, mask, distances)
 
 
 def naive_mean(grads):

@@ -74,9 +74,9 @@ The ``scans`` mode checks the agreement scan alone. Case i is a
 some rows zero or repeated, some at 1e150-1e200 so that a dot product
 overflows, tau 0, 2 or drawn, and a drawn pivot. It prints, per case, the
 sha256 of the outcome of ``gaf_aggregate`` (gradient bytes, accepted
-count and mask, distances, skipped), or of the error it raised. It reads
-only ``gafsim.aggregate.gaf_aggregate``, so one copy can be run against
-each tree's ``src/``:
+count and mask, distances, whether the gradient is None), or of the error
+it raised. It reads only ``gafsim.aggregate.gaf_aggregate``, so one copy
+can be run against each tree's ``src/``:
 
     PYTHONPATH=src python3 tests/records_digest.py scans 3000 > after.json
     PYTHONPATH=/path/to/parent/src python3 tests/records_digest.py scans 3000 > before.json
@@ -345,7 +345,7 @@ def scan_digest(index: int) -> str:
         return "error: " + hashlib.sha256(str(exc).encode()).hexdigest()
     gradient = b"none" if out.gradient is None else out.gradient.tobytes()
     return hashlib.sha256(gradient + json.dumps(
-        [out.accepted_count, out.accepted_mask, out.pairwise_distances, out.skipped]
+        [out.accepted_count, out.accepted_mask, out.pairwise_distances, out.gradient is None]
     ).encode()).hexdigest()
 
 

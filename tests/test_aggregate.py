@@ -50,14 +50,14 @@ class TestAverage:
 class TestGafAggregate:
     def test_identical_gradients_accepted(self):
         out = gaf_aggregate([v(1, 0), v(1, 0)], 0.97, 0)
-        assert not out.skipped
+        assert out.gradient is not None
         assert out.accepted_count == 2
         assert np.array_equal(out.gradient, v(1, 0))
         assert out.accepted_mask == [True, True]
 
     def test_orthogonal_pair_skips(self):
         out = gaf_aggregate([v(1, 0), v(0, 1)], 0.97, 0)
-        assert out.skipped
+        assert out.gradient is None
         assert out.accepted_count == 1
         assert out.gradient is None
         assert out.pairwise_distances == [1.0]
@@ -70,7 +70,7 @@ class TestGafAggregate:
         ref_grad, ref_c, ref_mask, ref_d, ref_skip = naive_filtered_aggregate(grads, 0.97, 0)
         assert out.accepted_count == ref_c == 2
         assert out.accepted_mask == ref_mask == [True, True, False]
-        assert not out.skipped and not ref_skip
+        assert out.gradient is not None and not ref_skip
         assert np.array_equal(out.gradient, v(1, 0.05))
         assert np.array_equal(out.gradient, ref_grad)
         assert out.pairwise_distances == pytest.approx(ref_d, abs=1e-15)
@@ -81,7 +81,7 @@ class TestGafAggregate:
         for _ in range(50):
             grads = random_instance(rng, dim_max=64)
             out = gaf_aggregate(grads, 2.0, int(rng.integers(len(grads))))
-            assert not out.skipped
+            assert out.gradient is not None
             assert out.accepted_count == len(grads)
             assert np.allclose(out.gradient, average(grads), atol=1e-12, rtol=1e-12)
 
@@ -120,7 +120,7 @@ class TestAllPivots:
 
     def test_orthogonal_pair_all_skip(self):
         outs = all_pivots([v(1, 0), v(0, 1)], 0.97)
-        assert all(out.skipped for out in outs)
+        assert all(out.gradient is None for out in outs)
 
     def test_pivot_changes_accepted_set(self):
         grads = [v(1, 0), v(1, 0.1), v(-1, 0)]
@@ -129,9 +129,9 @@ class TestAllPivots:
             ref_grad, ref_c, ref_mask, _, ref_skip = naive_filtered_aggregate(grads, 0.97, s)
             assert out.accepted_count == ref_c
             assert out.accepted_mask == ref_mask
-            assert out.skipped == ref_skip
+            assert (out.gradient is None) == ref_skip
         assert outs[0].accepted_mask == [True, True, False]
-        assert outs[2].skipped  # opposing pivot agrees with nothing
+        assert outs[2].gradient is None  # opposing pivot agrees with nothing
 
 
 class TestScanDistances:
@@ -188,7 +188,7 @@ class TestProperties:
             grads = random_instance(rng, dim_max=128)
             pivot = int(rng.integers(len(grads)))
             out = gaf_aggregate(grads, 2.0, pivot)
-            assert not out.skipped
+            assert out.gradient is not None
             assert out.accepted_count == len(grads)
             assert np.allclose(out.gradient, average(grads), atol=1e-12, rtol=1e-12)
 
@@ -203,7 +203,7 @@ class TestProperties:
             c_all = gaf_aggregate(grads, 2.0, pivot).accepted_count
             assert c_tau <= c_all == len(grads)
             out_zero = gaf_aggregate(grads, 0.0, pivot)
-            assert out_zero.accepted_count == 1 and out_zero.skipped
+            assert out_zero.accepted_count == 1 and out_zero.gradient is None
 
     def test_candidate_order_can_matter_and_k2_cannot(self):
         # concrete order-dependent instance: the mid vector pulls the
@@ -223,9 +223,9 @@ class TestProperties:
             out1 = gaf_aggregate([x, y], tau, 0)
             out2 = gaf_aggregate([y, x], tau, 1)
             assert out1.accepted_count == out2.accepted_count
-            assert out1.skipped == out2.skipped
+            assert (out1.gradient is None) == (out2.gradient is None)
             assert out1.pairwise_distances == out2.pairwise_distances
-            if not out1.skipped:
+            if out1.gradient is not None:
                 assert np.array_equal(out1.gradient, out2.gradient)
 
     def test_matches_naive_oracle(self, rng):
@@ -237,7 +237,7 @@ class TestProperties:
             ref_grad, ref_c, ref_mask, _, ref_skip = naive_filtered_aggregate(grads, tau, pivot)
             assert out.accepted_count == ref_c
             assert out.accepted_mask == ref_mask
-            assert out.skipped == ref_skip
+            assert (out.gradient is None) == ref_skip
             if ref_grad is None:
                 assert out.gradient is None
             else:
@@ -333,7 +333,7 @@ def assert_same_outcome(out, ref):
     assert bits(out.pairwise_distances) == bits(ref.pairwise_distances)
     assert out.accepted_mask == ref.accepted_mask
     assert out.accepted_count == ref.accepted_count
-    assert out.skipped == ref.skipped
+    assert (out.gradient is None) == (ref.gradient is None)
     assert (out.gradient is None) == (ref.gradient is None)
     if ref.gradient is not None:
         assert out.gradient.tobytes() == ref.gradient.tobytes()
@@ -402,5 +402,5 @@ class TestAgreementScan:
         # k = 1 has no candidate, so no dot product is taken, even one that would overflow
         block = np.full((3, 1, 4), 1e300)
         outs = agreement_scan(block, [2.0, 1.0, 0.0], [0, 0, 0], scan_work(3, 1, 4))
-        assert [(o.gradient, o.accepted_count, o.accepted_mask, o.pairwise_distances, o.skipped)
-                for o in outs] == [(None, 1, [True], [], True)] * 3
+        assert [(o.gradient, o.accepted_count, o.accepted_mask, o.pairwise_distances)
+                for o in outs] == [(None, 1, [True], [])] * 3

@@ -359,6 +359,34 @@ class TestSweepCommand:
         assert [(r["value"], r["seed"], r["aggregator"]) for r in rows] == [
             ("0.5", "0", "avg"), ("0.5", "0", "gaf")]
 
+    @pytest.mark.parametrize("sweep,run,short,kept", [
+        # 24 white-noise rows: seed 3's split leaves class 1 four rows, short of u=6's six
+        ({"u_values": [3, 6]}, {"data": {"kind": "white_noise", "n": 24}},
+         "sweep.u_values[1], seed 3: generated white_noise data: class 1 has 4 samples, "
+         "need 6 for k=3, u=6", [("3", "0"), ("3", "3"), ("6", "0")]),
+        # a repeated value's group makes the rows of two cells, so it names neither
+        ({"u_values": [3, 6, 6]}, {"data": {"kind": "white_noise", "n": 24}},
+         "generated white_noise data: class 1 has 4 samples, need 6 for k=3, u=6",
+         [("3", "0"), ("3", "3"), ("6", "0")]),
+        # 18 gaussian rows leave every class 3 training rows clean, and class 2 two
+        # once half the labels are flipped
+        ({"noise_rates": [0.0, 0.5]}, {"data": {"kind": "gaussian", "n_per_class": 6,
+                                                "sigma": 0.5}},
+         "sweep.noise_rates[1], seed 0: generated gaussian data: class 2 has 2 samples, "
+         "need 3 for k=3, u=3", [("0.0", "0"), ("0.0", "3")]),
+    ], ids=["u_values", "repeated_u_value", "noise_rates"])
+    def test_failed_cell_names_its_cell_and_seed(self, tmp_path, capsys, sweep, run, short,
+                                                 kept):
+        path = sweep_config(tmp_path, sweep, seeds=(0, 3), k=3, steps=4, eval_every=2, **run)
+        assert main(["sweep", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {short} in the training split left by run.val_fraction 0.2 "
+            "(run.k * run.u / num_classes rows per class)\n")
+        with (tmp_path / "out" / "sweep_summary.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["value"], r["seed"], r["aggregator"]) for r in rows] == [
+            (value, seed, agg) for value, seed in kept for agg in ("avg", "gaf")]
+
     def test_failed_first_group_leaves_no_directory(self, tmp_path, capsys):
         # 3 white-noise rows over 2 classes cannot fill a stratified u=2 macrobatch
         path = sweep_config(tmp_path, {"tau_grid": [0.97]}, u=2,

@@ -36,7 +36,7 @@ BENCH_SPECS = [
 
 
 def layers(params, spec):
-    return models._layer_views(params, spec.layer_shapes())
+    return models._layer_views(params, spec)
 
 
 def random_batch(rng, spec, n=12):
