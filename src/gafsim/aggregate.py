@@ -91,10 +91,9 @@ def draw_pivot(k: int, seed: int) -> int:
 
 def scan_work(legs: int, k: int, dim: int) -> np.ndarray:
     """Work space for agreement_scan on (legs, k, dim) blocks: the product rows
-    of its largest round, legs * (k + 1), and room for their transpose if that
-    round is summed by column."""
-    rows = legs * (k + 1)
-    return np.empty((2 if rows >= _COLUMN_MIN_ROWS else 1, rows * dim))
+    of its largest round, legs * (k + 1), and a spare row for their transpose,
+    written only when a round is summed by column."""
+    return np.empty((2, legs * (k + 1) * dim))
 
 
 def _strict_row_sums(products: np.ndarray, spare: np.ndarray) -> list[float]:
@@ -149,7 +148,7 @@ def agreement_scan(block: np.ndarray, taus: Sequence[float], pivots: Sequence[in
     counts = [1] * legs
     accepted = [False] * legs
     distances: list[list[float]] = [[] for _ in range(legs)]
-    products, spare = work[0], work[-1]
+    products, spare = work
     for r in range(k - 1):
         pairs = []
         for leg, cands in enumerate(candidates):

@@ -36,7 +36,7 @@ from .data import DataConfig
 from .models import MLP1, SOFTMAX_LINEAR, ModelSpec, init_params, loss_and_grad
 from . import sim
 from .sim import AGG_AVERAGING, AGG_GAF, RunConfig, group_key
-from .telemetry import summarize, write_atomic, write_records
+from .telemetry import read_utf8, summarize, write_atomic, write_records
 
 DEFAULT_TAU_GRID = [0.95, 0.97, 0.99, 1.01, 1.03, 1.05]
 
@@ -204,10 +204,15 @@ def build_run_config(exp: dict, master_seed: int) -> RunConfig:
     return replace(exp["run"], master_seed=master_seed)
 
 
+def _name_float(x: float) -> str:
+    """x in :g form if that reads back as x, else its repr: distinct values, distinct names."""
+    return f"{x:g}" if float(f"{x:g}") == x else repr(x)
+
+
 def run_name(cfg: RunConfig) -> str:
     return (
-        f"{cfg.aggregator}_tau{cfg.tau:g}_u{cfg.u}_k{cfg.k}"
-        f"_noise{cfg.data.noise_rate:g}_seed{cfg.master_seed}"
+        f"{cfg.aggregator}_tau{_name_float(cfg.tau)}_u{cfg.u}_k{cfg.k}"
+        f"_noise{_name_float(cfg.data.noise_rate)}_seed{cfg.master_seed}"
     )
 
 
@@ -215,9 +220,13 @@ def _execute_one(cfgs: Sequence[RunConfig], out_root: Path) -> list[dict]:
     """Run one group of configs (see sim.run_detailed), write each one's run
     directory, and return one summary per config."""
     summaries = []
-    # looked up on the module at call time, so a wrapper put on
-    # gafsim.sim.run_detailed (a tracer, a test) sees every group
-    for cfg, result in zip(cfgs, sim.run_detailed(cfgs)):
+    try:
+        # looked up on the module at call time, so a wrapper put on
+        # gafsim.sim.run_detailed (a tracer, a test) sees every group
+        results = sim.run_detailed(cfgs)
+    except (ValueError, RuntimeError) as exc:
+        raise type(exc)(f"seed {cfgs[0].master_seed}: {exc}") from None
+    for cfg, result in zip(cfgs, results):
         records = result.records
         rundir = out_root / run_name(cfg)
         rundir.mkdir(parents=True, exist_ok=True)
@@ -269,7 +278,7 @@ def cmd_sweep(exp: dict) -> int:
                 # every cell of its seed, and a repeated value makes several cells
                 if axis == "tau_grid" or {p[0] for p in pairs if group_key(p[3]) == key} != {j}:
                     raise
-                raise type(exc)(f"sweep.{axis}[{j}], seed {seed}: {exc}") from None
+                raise type(exc)(f"sweep.{axis}[{j}], {exc}") from None
         base_summary, gaf_summary = summaries[base], summaries[gaf]
         improvement = None
         if gaf_summary["final_val_acc"] is not None and base_summary["final_val_acc"] is not None:
@@ -404,11 +413,11 @@ def main(argv=None) -> int:
         return cmd_check()
     try:
         try:
-            raw = json.loads(Path(args.config).read_text())
-        except OSError as exc:
-            raise ConfigError(f"cannot read config: {exc}") from None
+            raw = json.loads(read_utf8(Path(args.config)))
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from None
+            raise ConfigError(f"{args.config}: config is not valid JSON: {exc}") from None
+        except (OSError, ValueError) as exc:  # the ValueError: bytes that are not UTF-8
+            raise ConfigError(f"cannot read config: {exc}") from None
         exp = load_experiment(raw, _overrides(args), args.command)
         return cmd_run(exp) if args.command == "run" else cmd_sweep(exp)
     except ConfigError as exc:

@@ -27,6 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .telemetry import read_utf8
+
 STRATIFIED = "stratified"
 UNIFORM = "uniform"
 
@@ -121,12 +123,11 @@ def gen_gaussian_clusters(
     rng = np.random.default_rng(seed)
     means = rng.normal(size=(num_classes, input_dim))
     means /= np.linalg.norm(means, axis=1, keepdims=True)
-    features = np.empty((num_classes * n_per_class, input_dim))
-    labels = np.empty(num_classes * n_per_class, dtype=np.int64)
-    for c in range(num_classes):
-        block = slice(c * n_per_class, (c + 1) * n_per_class)
-        features[block] = means[c] + sigma * rng.normal(size=(n_per_class, input_dim))
-        labels[block] = c
+    features = rng.normal(size=(num_classes, n_per_class, input_dim))
+    features *= sigma
+    features += means[:, None]
+    features = features.reshape(-1, input_dim)
+    labels = np.repeat(np.arange(num_classes, dtype=np.int64), n_per_class)
     return Dataset(
         features=features,
         labels=labels,
@@ -141,7 +142,7 @@ def gen_white_noise(num_classes: int, input_dim: int, n: int, seed: int) -> Data
         raise ValueError("invalid white-noise dimensions")
     rng = np.random.default_rng(seed)
     features = rng.normal(size=(n, input_dim))
-    labels = rng.integers(0, num_classes, size=n).astype(np.int64)
+    labels = rng.integers(0, num_classes, size=n)
     return Dataset(
         features=features,
         labels=labels,
@@ -285,9 +286,9 @@ def load_csv(path) -> Dataset:
     a finite number, or a bad label are rejected with the file and line.
     """
     path = Path(path)
-    raw = path.read_bytes()
+    text = read_utf8(path)
     try:
-        reader = csv.reader(io.StringIO(raw.decode("utf-8"), newline=""))
+        reader = csv.reader(io.StringIO(text, newline=""))
         header = next(reader, None)
         if header is None:
             raise ValueError(f"{path}: empty file")
@@ -307,9 +308,6 @@ def load_csv(path) -> Dataset:
             if not re.fullmatch(r"\d+", row[d].strip()):
                 raise ValueError(f"{path}:{lineno}: label must be a non-negative integer")
             labels.append(int(row[d]))
-    except UnicodeDecodeError as exc:
-        lineno = raw.count(b"\n", 0, exc.start) + 1
-        raise ValueError(f"{path}:{lineno}: {exc}") from None
     except csv.Error as exc:
         raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     if not feats:

@@ -6,7 +6,7 @@ tanh or relu). Both return exact analytic gradients of mean cross-entropy
 plus coupled L2 weight decay, flattened in parameter order, so
 micro-gradients can be compared and aggregated as flat vectors. The
 parameters are one such flat float64 vector too; its layout, and so the
-layer count, comes only from ModelSpec.layer_shapes().
+layer count, comes only from ModelSpec.layout.
 """
 
 from __future__ import annotations
@@ -54,17 +54,14 @@ class ModelSpec:
         if self.init_sigma < 0:
             raise ValueError("init_sigma must be >= 0")
 
-    def layer_shapes(self) -> list[tuple[tuple[int, int], tuple[int]]]:
-        dims = [self.input_dim] + [self.hidden_dim] * (self.kind == MLP1) + [self.num_classes]
-        return [((rows, cols), (rows,)) for cols, rows in zip(dims, dims[1:])]
-
     @cached_property
     def layout(self) -> tuple[list[tuple[tuple[int, int], slice, slice]], int]:
         """(weight shape, weight slice, bias slice) of each layer in the flat vector, and its length."""
+        dims = [self.input_dim] + [self.hidden_dim] * (self.kind == MLP1) + [self.num_classes]
         layers, end = [], 0
-        for (rows, cols), (n_bias,) in self.layer_shapes():
+        for cols, rows in zip(dims, dims[1:]):
             mid = end + rows * cols
-            layers.append(((rows, cols), slice(end, mid), slice(mid, end := mid + n_bias)))
+            layers.append(((rows, cols), slice(end, mid), slice(mid, end := mid + rows)))
         return layers, end
 
 
@@ -80,7 +77,7 @@ def _layer_views(flat: np.ndarray, spec: ModelSpec) -> list[tuple[np.ndarray, np
 
 
 def init_params(spec: ModelSpec) -> np.ndarray:
-    """All parameters as one flat float64 vector laid out by spec.layer_shapes(),
+    """All parameters as one flat float64 vector laid out by spec.layout,
     drawn deterministically from spec.init_seed."""
     params = np.zeros(spec.layout[1])
     if spec.init_sigma > 0:

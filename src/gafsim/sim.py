@@ -247,16 +247,15 @@ def run_detailed(cfgs: Sequence[RunConfig]) -> list[RunResult]:
             except ValueError:
                 # a leg diverged: evaluate and scan leg by leg instead, so the error below
                 # names the leg, and the failure, that a leg-by-leg pass meets first
-                losses, outcomes = [], []
                 for i, leg in enumerate(legs.values()):
                     try:
-                        losses.append(loss_and_grad(leg.params[None], features, labels, spec,
-                                                    decay[i:i + 1], grads[i:i + 1])[0])
-                        outcomes += agreement_scan(grads[i:i + 1], taus[i:i + 1],
-                                                   pivots[i:i + 1], work)
+                        loss_and_grad(leg.params[None], features, labels, spec, decay[i:i + 1],
+                                      grads[i:i + 1])
+                        agreement_scan(grads[i:i + 1], taus[i:i + 1], pivots[i:i + 1], work)
                     except ValueError as exc:
                         where = "" if len(legs) == 1 else f" in group leg {i}"
                         raise RuntimeError(f"training diverged at step {t}{where}: {exc}") from exc
+                raise  # unreachable: each leg's rows and scan are bit-equal to the group's
             for i, (cfg, leg) in enumerate(legs.items()):
                 # exact: sum starts at 0, and 0 + x == x as a loss is never -0.0
                 train_loss = sum(losses[i].tolist()) / k

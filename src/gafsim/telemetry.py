@@ -102,16 +102,27 @@ def write_records(records: list[StepRecord], path) -> None:
         raise OSError(f"failed writing records to {path}: {exc}") from exc
 
 
+def read_utf8(path: Path) -> str:
+    """The file's bytes decoded as UTF-8; bytes that are not UTF-8 raise
+    ValueError("{path}:{line}: …")."""
+    raw = path.read_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{lineno}: {exc}") from None
+
+
 def read_records(path) -> list[StepRecord]:
     """Read back a JSONL records file written by write_records.
 
-    Every error names `path:line`: invalid JSON, a non-object line, unknown
-    or missing fields, and field values of the wrong type.
+    Every error names `path:line`: bytes that are not UTF-8, invalid JSON, a
+    non-object line, unknown or missing fields, and field values of the wrong type.
     """
     path = Path(path)
     records = []
     try:
-        text = path.read_text()
+        text = read_utf8(path)
     except OSError as exc:
         raise OSError(f"failed reading records from {path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):

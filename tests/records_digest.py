@@ -96,6 +96,19 @@ against each tree's ``src/``:
     PYTHONPATH=src python3 tests/records_digest.py models 2000 > after.json
     PYTHONPATH=/path/to/parent/src python3 tests/records_digest.py models 2000 > before.json
 
+The ``datasets`` mode checks the dataset generators alone. Case i is a
+``(DataConfig, seed)`` drawn from a generator seeded with ``(i, 5)``: both
+generated kinds, 2-12 classes, 1-40 features, 1-300 rows a class (gaussian,
+at sigma 0.1-3) or 2-3000 rows (white noise), and a noise rate of 0, drawn,
+or 1. It prints, per case, the sha256 of ``make_dataset``'s features, labels
+and clean labels, each with its dtype and shape, followed by the labels that
+``inject_symmetric_noise`` makes of them at the case's rate. It reads only
+public ``gafsim.data`` names, so one copy can be run against each tree's
+``src/``:
+
+    PYTHONPATH=src python3 tests/records_digest.py datasets 2000 > after.json
+    PYTHONPATH=/path/to/parent/src python3 tests/records_digest.py datasets 2000 > before.json
+
 This is a script, not a test module: pytest does not collect it. The
 golden-digest tests import ``run_digest`` from it.
 """
@@ -116,7 +129,7 @@ import numpy as np
 from gafsim import gen_gaussian_clusters, gen_white_noise, inject_symmetric_noise, sample_macrobatch
 from gafsim.aggregate import gaf_aggregate
 from gafsim.cli import main as cli_main
-from gafsim.data import DataConfig
+from gafsim.data import DataConfig, make_dataset
 from gafsim.models import ModelSpec, init_params, loss_and_grad, predict
 from gafsim.sim import RunConfig, RunResult, run_detailed
 from gafsim.telemetry import write_records
@@ -389,7 +402,37 @@ def model_digest(index: int) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+def random_data_case(index: int) -> tuple[DataConfig, int]:
+    """(DataConfig, seed) for dataset case index."""
+    rng = np.random.default_rng((index, 5))
+    num_classes, input_dim = int(rng.integers(2, 13)), int(rng.integers(1, 41))
+    noise_rate = float(rng.choice([0.0, rng.uniform(0, 1), 1.0]))
+    if rng.random() < 0.5:
+        cfg = DataConfig(kind="gaussian", num_classes=num_classes, input_dim=input_dim,
+                         n_per_class=int(rng.integers(1, 301)),
+                         sigma=float(rng.choice([0.1, 1.0, rng.uniform(0.1, 3.0)])),
+                         noise_rate=noise_rate)
+    else:
+        cfg = DataConfig(kind="white_noise", num_classes=num_classes, input_dim=input_dim,
+                         n=int(rng.integers(2, 3001)), noise_rate=noise_rate)
+    return cfg, int(rng.integers(1 << 63))
+
+
+def dataset_digest(index: int) -> str:
+    """sha256 of dataset case index's generated arrays and noisy labels."""
+    cfg, seed = random_data_case(index)
+    ds = make_dataset(cfg, seed)
+    noisy = inject_symmetric_noise(ds, cfg.noise_rate, seed + 1)
+    return hashlib.sha256(b"".join(
+        str((a.dtype, a.shape)).encode() + a.tobytes()
+        for a in (ds.features, ds.labels, ds.clean_labels, noisy.labels))).hexdigest()
+
+
 def main(argv: list[str]) -> int:
+    if len(argv) > 1 and argv[1] == "datasets":
+        n = int(argv[2]) if len(argv) > 2 else 2000
+        print(json.dumps({i: dataset_digest(i) for i in range(n)}, indent=1))
+        return 0
     if len(argv) > 1 and argv[1] == "models":
         n = int(argv[2]) if len(argv) > 2 else 2000
         print(json.dumps({i: model_digest(i) for i in range(n)}, indent=1))

@@ -334,7 +334,6 @@ def assert_same_outcome(out, ref):
     assert out.accepted_mask == ref.accepted_mask
     assert out.accepted_count == ref.accepted_count
     assert (out.gradient is None) == (ref.gradient is None)
-    assert (out.gradient is None) == (ref.gradient is None)
     if ref.gradient is not None:
         assert out.gradient.tobytes() == ref.gradient.tobytes()
 

@@ -141,7 +141,7 @@ class TestRunCommand:
                              data={"kind": "csv", "path": str(data)})
         assert main(["run", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err.startswith(
-            f"error: {data}:6: 'utf-8' codec can't decode byte 0xff")
+            f"error: seed 0: {data}:6: 'utf-8' codec can't decode byte 0xff")
         assert not (tmp_path / "out").exists()
 
     def test_admit_all_filter_summary_matches_averaging(self, tmp_path):
@@ -215,9 +215,24 @@ class TestRunCommand:
         short = {"generated": "generated white_noise data: class 0 has 4 samples",
                  "csv": f"{tmp_path / 'data.csv'}: class 0 has 3 samples"}[source]
         assert capsys.readouterr().err == (
-            f"error: {short}, need 5 for k=5, u=3 in the training split left by "
+            f"error: seed 0: {short}, need 5 for k=5, u=3 in the training split left by "
             "run.val_fraction 0.2 (run.k * run.u / num_classes rows per class)\n")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_failed_group_names_its_seed(self, tmp_path, capsys, command):
+        # 12 white-noise rows: seeds 1 and 5 leave each class 4 training rows, seed 2
+        # leaves class 1 three, short of k=2, u=4
+        path = sweep_config(tmp_path, {"tau_grid": [0.97]}, seeds=(1, 5, 2), u=4,
+                            val_fraction=0.25, data={"kind": "white_noise", "n": 12},
+                            model={"kind": "softmax_linear", "input_dim": 6, "num_classes": 2})
+        assert main([command, "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: seed 2: generated white_noise data: class 1 has 3 samples, need 4 for "
+            "k=2, u=4 in the training split left by run.val_fraction 0.25 (run.k * run.u / "
+            "num_classes rows per class)\n")
+        runs = {p.parent.name.rsplit("_", 1)[1] for p in (tmp_path / "out").glob("*/summary.json")}
+        assert runs == {"seed1", "seed5"}
 
     @pytest.mark.parametrize("lr,weight_decay,step", [(1e8, 0.1, 23), (1e300, 0.0, 2)],
                              ids=["decay", "no-decay"])
@@ -231,7 +246,7 @@ class TestRunCommand:
         proc = subprocess.run([sys.executable, "-m", "gafsim", "run", "--config", str(cfg)],
                               cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 1
-        assert proc.stderr == (f"error: training diverged at step {step}: "
+        assert proc.stderr == (f"error: seed 0: training diverged at step {step}: "
                                "non-finite loss or gradient\n")
         assert not (tmp_path / "out").exists()
 
@@ -366,7 +381,7 @@ class TestSweepCommand:
          "need 6 for k=3, u=6", [("3", "0"), ("3", "3"), ("6", "0")]),
         # a repeated value's group makes the rows of two cells, so it names neither
         ({"u_values": [3, 6, 6]}, {"data": {"kind": "white_noise", "n": 24}},
-         "generated white_noise data: class 1 has 4 samples, need 6 for k=3, u=6",
+         "seed 3: generated white_noise data: class 1 has 4 samples, need 6 for k=3, u=6",
          [("3", "0"), ("3", "3"), ("6", "0")]),
         # 18 gaussian rows leave every class 3 training rows clean, and class 2 two
         # once half the labels are flipped
@@ -386,6 +401,16 @@ class TestSweepCommand:
             rows = list(csv.DictReader(fh))
         assert [(r["value"], r["seed"], r["aggregator"]) for r in rows] == [
             (value, seed, agg) for value, seed in kept for agg in ("avg", "gaf")]
+
+    def test_close_taus_get_their_own_run_directories(self, tmp_path):
+        # both taus read 0.97 at :g's 6 significant digits
+        taus = [0.9700001, 0.97000012]
+        path = sweep_config(tmp_path, {"tau_grid": taus}, steps=4)
+        assert main(["sweep", "--config", str(path)]) == 0
+        dirs = list((tmp_path / "out").glob("gaf_*"))
+        assert len(dirs) == 2
+        assert sorted(json.loads((d / "config.json").read_text())["run"]["tau"]
+                      for d in dirs) == taus
 
     def test_failed_first_group_leaves_no_directory(self, tmp_path, capsys):
         # 3 white-noise rows over 2 classes cannot fill a stratified u=2 macrobatch
@@ -648,6 +673,20 @@ class TestConfigErrors:
         obj = self.base(tmp_path)
         obj["sweep"] = {"tau_grid": [0.97]}
         self.assert_config_error(tmp_path, capsys, obj, message, command=command, flags=flags)
+
+    def test_non_utf8_config_names_file_and_line(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"run":\n  {"k": "\xff"}}\n')
+        assert main(["run", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: cannot read config: {path}:2: 'utf-8' codec can't decode byte 0xff")
+
+    def test_invalid_json_config_names_file(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"run": {"k": 2,}}')
+        assert main(["run", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: {path}: config is not valid JSON: ")
 
     def test_integer_beyond_float_range_is_config_error(self, tmp_path, capsys):
         obj = self.base(tmp_path)

@@ -429,7 +429,10 @@ class TestProperties:
             params = init_params(spec)
             before = params.copy()
             views = layers(params, spec)
-            assert [(w.shape, b.shape) for w, b in views] == spec.layer_shapes()
+            dims = ([spec.input_dim, spec.hidden_dim, spec.num_classes] if spec.kind == MLP1
+                    else [spec.input_dim, spec.num_classes])
+            assert ([(w.shape, b.shape) for w, b in views]
+                    == [((rows, cols), (rows,)) for cols, rows in zip(dims, dims[1:])])
             assert np.array_equal(np.concatenate([a.ravel() for wb in views for a in wb]), params)
             # writes through every view land in the vector itself
             for w, b in views:

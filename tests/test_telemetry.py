@@ -111,6 +111,14 @@ class TestSerialization:
         assert str(info.value).startswith(f"{path}:3: ")
         assert message in str(info.value)
 
+    def test_non_utf8_line_names_path_and_line(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        write_records(make_records(2), path)
+        path.write_bytes(path.read_bytes() + b'{"step": 3, "lr": "\xff"}\n')
+        with pytest.raises(ValueError) as info:
+            read_records(path)
+        assert str(info.value).startswith(f"{path}:3: 'utf-8' codec can't decode byte 0xff")
+
     def test_failed_replace_keeps_old_files(self, tmp_path, monkeypatch):
         # the new text is fully written to a temp file, then the rename fails
         path = tmp_path / "records.jsonl"
