@@ -16,8 +16,9 @@ The scan has one implementation, agreement_scan, which filters every leg
 of an (L, k, P) gradient block at once: a run group scans all its legs in
 one call per step, and gaf_aggregate is the one-leg block. Its dot
 products are the strict index-order sums of gradvec.dot, bit for bit, and
-its distances follow gradvec.cosine_distance; each round of the scan sums
-all of its dot products in one call (_strict_row_sums).
+its distances follow gradvec.cosine_distance; each round of the scan
+writes all of its dot products' terms into the columns of one array and
+sums them with one einsum (_strict_dots).
 """
 
 from __future__ import annotations
@@ -31,13 +32,15 @@ import numpy as np
 # bench/tracing.py's TARGETS wraps cosine_distance on gafsim.aggregate
 from .gradvec import ZERO_NORM_EPS, cosine_distance  # noqa: F401
 
-# Below this many dot products a round sums each product row with
-# np.add.accumulate, about 3.4 ns per product; from it on, copying the rows
-# into a (P, R) transpose and summing its columns with one einsum, about
-# 0.8 ns per product plus 10 ns per element of P, wins (measured at
-# P = 1000-5514 on a 2-core Xeon). It must stay above 1: einsum sums a lone
-# column with unrolled partial sums, not in index order.
-_COLUMN_MIN_ROWS = 6
+# A round's R dot products are summed as the columns of a C-contiguous (P, R)
+# array, whose np.einsum("ij->j") adds them side by side, each row after row.
+# Below this many products a round writes them straight into those columns;
+# from it on it writes contiguous rows and copies them over in one transposing
+# copy, which then beats the strided writes (min µs per round, direct against
+# copy, 2-core Xeon: 91 against 96 at 7 rows and 102 against 94 at 8 rows for
+# P = 5514; 50 against 52 and 65 against 50 for P = 2826; 147 against 111 at
+# 21 rows, a 7-leg k = 2 round 0).
+_COPY_MIN_ROWS = 8
 
 
 @dataclass
@@ -91,34 +94,41 @@ def draw_pivot(k: int, seed: int) -> int:
 
 def scan_work(legs: int, k: int, dim: int) -> np.ndarray:
     """Work space for agreement_scan on (legs, k, dim) blocks: the product rows
-    of its largest round, legs * (k + 1), and a spare row for their transpose,
-    written only when a round is summed by column."""
+    of its largest round, legs * (k + 1), and a spare row for their columns."""
     return np.empty((2, legs * (k + 1) * dim))
 
 
-def _strict_row_sums(products: np.ndarray, spare: np.ndarray) -> list[float]:
-    """Each row of the (R, P) products summed strictly in index order.
+def _strict_dots(squares: np.ndarray, pairs: list, work: np.ndarray) -> list[float]:
+    """The dot product of each (P,) row of squares with itself, then of each
+    (a, b) pair, each summed strictly in index order.
 
-    Bit for bit np.add.accumulate(row)[-1], as Python floats. Below
-    _COLUMN_MIN_ROWS rows that accumulate runs in place, over products. From
-    it on, the rows are copied into spare (R * P floats or more) as a
-    C-contiguous (P, R) array, whose axis-0 einsum adds the R columns side by
-    side, each one row after row. Raises ValueError if a sum is not finite.
+    Bit for bit np.add.accumulate(a * b)[-1], as Python floats. The products
+    fill the columns of a (P, R) array in work's spare row, straight or
+    through a copy of contiguous rows (_COPY_MIN_ROWS); a one-product round
+    gets a zero pad column, as numpy sums a lone column pairwise, not in index
+    order. Raises ValueError if a sum is not finite.
     """
-    rows, dim = products.shape
+    head, dim = squares.shape
+    count = head + len(pairs)
     if not dim:
-        return [0.0] * rows  # gradvec.dot's sum of no products
-    if rows < _COLUMN_MIN_ROWS:
-        sums = np.add.accumulate(products, axis=1, out=products)[:, -1]
-    else:
-        columns = spare[:rows * dim].reshape(dim, rows)
-        np.copyto(columns, products.T)
-        sums = np.einsum("ij->j", columns)
-        # einsum adds each column to 0.0, so a column of -0.0 gives 0.0, not -0.0
-        for row in np.flatnonzero(sums == 0.0):
-            if np.signbit(products[row]).all():
-                sums[row] = -0.0
-    values = sums.tolist()
+        return [0.0] * count  # gradvec.dot's sum of no products
+    products, spare = work
+    columns = spare[:max(count, 2) * dim].reshape(dim, max(count, 2))
+    copied = count >= _COPY_MIN_ROWS
+    rows = products[:count * dim].reshape(count, dim) if copied else columns.T
+    np.multiply(squares, squares, out=rows[:head])
+    for row, (a, b) in zip(rows[head:], pairs):
+        np.multiply(a, b, out=row)
+    if copied:
+        np.copyto(columns[:, :count], rows.T)
+    if count == 1:
+        columns[:, 1] = 0.0
+    sums = np.einsum("ij->j", columns)
+    values = sums[:count].tolist()
+    # einsum adds each column to 0.0, so a column of -0.0 gives 0.0, not -0.0
+    for j, value in enumerate(values):
+        if value == 0.0 and np.signbit(rows[j]).all():
+            values[j] = -0.0
     if not all(map(math.isfinite, values)):
         raise ValueError("non-finite dot product")
     return values
@@ -148,7 +158,6 @@ def agreement_scan(block: np.ndarray, taus: Sequence[float], pivots: Sequence[in
     counts = [1] * legs
     accepted = [False] * legs
     distances: list[list[float]] = [[] for _ in range(legs)]
-    products, spare = work
     for r in range(k - 1):
         pairs = []
         for leg, cands in enumerate(candidates):
@@ -157,12 +166,7 @@ def agreement_scan(block: np.ndarray, taus: Sequence[float], pivots: Sequence[in
             pairs.append((block[leg, cands[r]], running[leg]))
         head = 0 if r else n
         with np.errstate(over="ignore", invalid="ignore"):
-            prods = products[:(head + len(pairs)) * dim].reshape(head + len(pairs), dim)
-            if not r:
-                np.multiply(rows, rows, out=prods[:n])
-            for row, (a, b) in zip(prods[head:], pairs):
-                np.multiply(a, b, out=row)
-            sums = _strict_row_sums(prods, spare)
+            sums = _strict_dots(rows[:head], pairs, work)
         if not r:
             norms = [math.sqrt(s) for s in sums[:n]]
             running_norms = [norms[leg * k + p] for leg, p in enumerate(pivots)]

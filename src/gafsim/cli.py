@@ -245,7 +245,7 @@ def _execute_one(cfgs: Sequence[RunConfig], out_root: Path) -> list[dict]:
 
 def cmd_run(exp: dict) -> int:
     out_root = Path(exp["output_dir"])
-    for seed in exp["seeds"]:
+    for seed in dict.fromkeys(exp["seeds"]):  # a repeated seed runs once
         _execute_one([build_run_config(exp, seed)], out_root)
     return 0
 

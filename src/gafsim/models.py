@@ -96,15 +96,18 @@ def _forward(layers, features: np.ndarray, spec: ModelSpec):
     """The model's forward pass, on the (weight, bias) views `layers`, over any
     leading axes of `features` and of the views (broadcast against each other).
 
-    Returns (each layer's input, `features` first; each hidden layer's
-    pre-activation; logits).
+    Returns (each layer's input, `features` first; logits). Each layer adds
+    its bias and applies its activation in place, on its product's output.
     """
-    ins, pres = [features], []
+    ins = [features]
     for w, b in layers[:-1]:
-        pres.append(ins[-1] @ w.swapaxes(-1, -2) + b[..., None, :])
-        ins.append(np.tanh(pres[-1]) if spec.activation == "tanh" else np.maximum(pres[-1], 0.0))
+        h = ins[-1] @ w.swapaxes(-1, -2)
+        h += b[..., None, :]
+        ins.append(np.tanh(h, out=h) if spec.activation == "tanh" else np.maximum(h, 0.0, out=h))
     w, b = layers[-1]
-    return ins, pres, ins[-1] @ w.swapaxes(-1, -2) + b[..., None, :]
+    logits = ins[-1] @ w.swapaxes(-1, -2)
+    logits += b[..., None, :]
+    return ins, logits
 
 
 def loss_and_grad(
@@ -160,9 +163,9 @@ def loss_and_grad(
     # (L, 1, rows, cols) weights: each row's parameters meet all k microbatches
     layers = _layer_views(params[:, None], spec)
     views = _layer_views(grad, spec)
-    ins, pres, logits = _forward(layers, features, spec)
+    ins, logits = _forward(layers, features, spec)
     log_p = _log_softmax(logits)
-    ce = -log_p.reshape(-1)[picks].reshape(n_rows, k, n).mean(axis=-1)
+    ce = -log_p.reshape(-1)[picks].reshape(n_rows, k, n).sum(axis=-1) / n
     dout = np.exp(log_p)  # the gradient at the current layer's output, logits first
     dout.reshape(-1)[picks] -= 1.0
     dout /= n
@@ -177,8 +180,9 @@ def loss_and_grad(
         dout.sum(axis=-2, out=gb)
         reg = (w * w).reshape(n_rows, -1).sum(axis=-1) + reg
         if i:  # through the activation; relu's subgradient at exactly 0 is taken as 0
+            # (relu's output is > 0.0 exactly where its input is, so its mask reads the output)
             dout = dout @ w
-            dout = dout * (1.0 - ins[i] * ins[i] if spec.activation == "tanh" else pres[i - 1] > 0.0)
+            dout = dout * (1.0 - ins[i] * ins[i] if spec.activation == "tanh" else ins[i] > 0.0)
     # the add also runs at weight_decay 0: it turns a -0.0 cross-entropy into 0.0,
     # and a non-finite reg (a non-finite weight) into a non-finite loss
     losses = ce + 0.5 * decay * reg[:, None]
@@ -206,7 +210,7 @@ def predict(params: np.ndarray, features: np.ndarray, spec: ModelSpec) -> np.nda
     rows = _predict_chunk_rows(layers)
     return np.concatenate(
         [
-            _forward(layers, features[i : i + rows], spec)[2].argmax(axis=-1)
+            _forward(layers, features[i : i + rows], spec)[1].argmax(axis=-1)
             for i in range(0, max(features.shape[0], 1), rows)
         ]
     )

@@ -48,7 +48,7 @@ sha256 per leg over the bytes that the records mode and the ``state``
 mode digest, one after the other, or a digest of the error the group
 raised. Its 2-6 distinct legs at k 1-5 give the group's agreement scan
 rounds of 2 to 36 dot products, so the groups cover both sides of the
-scan's accumulate/column crossover. It reads the result through the same
+scan's direct/copy fill crossover. It reads the result through the same
 names as ``state``, so one copy can be run against each tree's ``src/``:
 
     PYTHONPATH=src python3 tests/records_digest.py groups 400 > after.json
@@ -70,7 +70,7 @@ be run against each tree's ``src/``:
 
 The ``scans`` mode checks the agreement scan alone. Case i is a
 ``(grads, tau, pivot)`` drawn from a generator seeded with ``(i, 3)``: k
-1-8 rows of 1-3000 entries, each row at its own scale from 1e-3 to 1e3,
+1-8 rows of 1-6000 entries, each row at its own scale from 1e-3 to 1e3,
 some rows zero or repeated, some at 1e150-1e200 so that a dot product
 overflows, tau 0, 2 or drawn, and a drawn pivot. It prints, per case, the
 sha256 of the outcome of ``gaf_aggregate`` (gradient bytes, accepted
@@ -337,7 +337,7 @@ def random_scan_case(index: int) -> tuple:
     """(grads, tau, pivot) for scan case index."""
     rng = np.random.default_rng((index, 3))
     k = int(rng.integers(1, 9))
-    dim = int(np.exp(rng.uniform(0, np.log(3000))))
+    dim = int(np.exp(rng.uniform(0, np.log(6000))))
     grads = rng.normal(size=(k, dim)) * 10.0 ** rng.uniform(-3, 3, (k, 1))
     grads[rng.random(k) < 0.1] = 0.0
     if rng.random() < 0.2:

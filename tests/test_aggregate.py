@@ -3,7 +3,7 @@ import pytest
 
 from gafsim import aggregate
 from gafsim.aggregate import (
-    _strict_row_sums,
+    _strict_dots,
     agreement_scan,
     average,
     draw_pivot,
@@ -59,7 +59,7 @@ class TestGafAggregate:
         out = gaf_aggregate([v(1, 0), v(0, 1)], 0.97, 0)
         assert out.gradient is None
         assert out.accepted_count == 1
-        assert out.gradient is None
+        assert out.accepted_mask == [True, False]
         assert out.pairwise_distances == [1.0]
 
     def test_running_sum_scan(self):
@@ -250,42 +250,53 @@ def bits(values) -> bytes:
 
 
 @pytest.mark.properties
-class TestStrictRowSums:
-    """_strict_row_sums is np.add.accumulate(row)[-1] for every row, bit for bit,
-    on both sides of the crossover, sign of zero included."""
+class TestStrictDots:
+    """_strict_dots is np.add.accumulate(a * b)[-1] for every product, bit for
+    bit, however a round is filled, sign of zero included."""
 
-    @pytest.fixture(params=["as set", "accumulate", "column"])
-    def path(self, request, monkeypatch):
-        # the crossover as set, or every row count down one side (the column
-        # path from two rows on, as one row never takes it)
-        crossover = {"as set": aggregate._COLUMN_MIN_ROWS, "accumulate": 1 << 30, "column": 2}
-        monkeypatch.setattr(aggregate, "_COLUMN_MIN_ROWS", crossover[request.param])
+    @pytest.fixture(params=["as set", "direct", "copy"])
+    def fill(self, request, monkeypatch):
+        # the crossover as set, or every round filled one way (a one-product
+        # round through the copy too)
+        crossover = {"as set": aggregate._COPY_MIN_ROWS, "direct": 1 << 30, "copy": 0}
+        monkeypatch.setattr(aggregate, "_COPY_MIN_ROWS", crossover[request.param])
         return request.param
 
     @staticmethod
-    def check(products):
-        spare = np.empty(products.size)
+    def dots(squares, products):
+        """_strict_dots of the squares and of each products row times 1.0, which
+        is that row bit for bit, on work space of NaNs (so no stale pad sums)."""
+        dim = products.shape[1]
+        work = np.full((2, (len(squares) + len(products) + 1) * dim), np.nan)
+        return _strict_dots(squares, [(row, np.ones(dim)) for row in products], work)
+
+    def check(self, products, squares=None):
+        if squares is None:
+            squares = np.empty((0, products.shape[1]))
         with np.errstate(over="ignore", invalid="ignore"):
-            want = [np.add.accumulate(row)[-1] for row in products]  # before the helper's writes
+            want = [np.add.accumulate(row * row)[-1] for row in squares]
+            want += [np.add.accumulate(row)[-1] for row in products]
             if np.isfinite(want).all():
-                assert bits(_strict_row_sums(products, spare)) == bits(want)
+                assert bits(self.dots(squares, products)) == bits(want)
             else:
                 with pytest.raises(ValueError, match="^non-finite dot product$"):
-                    _strict_row_sums(products, spare)
+                    self.dots(squares, products)
         return np.isfinite(want).all()
 
-    def test_random_rows_at_every_scale(self, path, rng):
+    def test_random_rows_at_every_scale(self, fill, rng):
         finite = 0
         for _ in range(N_PROPERTY_CASES):
-            rows = int(rng.integers(1, 65))
+            rows, head = (int(n) for n in rng.integers(0, 33, size=2))
+            rows += not rows + head  # at least one product
             dim = int(np.exp(rng.uniform(0, np.log(6000))))
             # a scale per row from 1e-300 to 1e308, where entries and sums overflow to inf
             with np.errstate(over="ignore"):
                 products = rng.normal(size=(rows, dim)) * 10.0 ** rng.uniform(-300, 308, (rows, 1))
-            finite += self.check(products)
+            squares = rng.normal(size=(head, dim)) * 10.0 ** rng.uniform(-150, 154, (head, 1))
+            finite += self.check(products, squares)
         assert 0 < finite < N_PROPERTY_CASES
 
-    def test_signed_zeros_and_subnormals(self, path, rng):
+    def test_signed_zeros_and_subnormals(self, fill, rng):
         for _ in range(N_PROPERTY_CASES):
             rows = int(rng.integers(1, 65))
             dim = int(rng.integers(1, 300))
@@ -295,21 +306,19 @@ class TestStrictRowSums:
             subnormal = rng.normal(size=(rows, dim)) * 10.0 ** rng.uniform(-323, -308, (rows, 1))
             self.check(np.where(rng.random((rows, dim)) < 0.3, zeros, subnormal))
 
-    @pytest.mark.parametrize("rows", [2, 3, 5, 6, 7])
-    def test_few_long_columns(self, path, rows, rng):
+    @pytest.mark.parametrize("rows", [1, 2, 3, 7, 8, 9])
+    def test_few_long_columns(self, fill, rows, rng):
         # few columns over more rows than numpy's 8192-element buffer
         for dim in (1, 2, 8191, 8193, 20000):
             self.check(rng.normal(size=(rows, dim)) * 10.0 ** rng.uniform(-3, 3, (rows, 1)))
 
-    def test_one_row_is_never_reduced_by_column(self, rng):
-        # numpy sums a one-column reduction pairwise, not in index order: the
-        # accumulate path, which leaves the row's running sums in place, takes it
-        assert aggregate._COLUMN_MIN_ROWS > 1
-        for dim in (1, 7, 129, 6000):
+    def test_one_product_round_is_summed_in_index_order(self, fill, rng):
+        # numpy sums a lone column pairwise, not in index order: the zero pad
+        # column beside a one-product round keeps its sum the accumulate's
+        for dim in (1, 7, 129, 6000, 20000):
             row = rng.normal(size=(1, dim))
-            want = np.add.accumulate(row[0])
-            _strict_row_sums(row, np.empty(dim))
-            assert row[0].tobytes() == want.tobytes()
+            for squares, products in ((row[:0], row), (row, row[:0]), (row[:0], -0.0 * row)):
+                assert self.check(products, squares)
 
 
 def random_group(rng, scale_exp=(-3, 3)):

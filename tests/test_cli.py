@@ -91,6 +91,20 @@ class TestRunCommand:
         assert (rundir / "summary.json").exists()
         assert "final_val_acc" in capsys.readouterr().out
 
+    def test_repeated_seed_runs_once(self, tmp_path, capsys, monkeypatch):
+        path = minimal_config(tmp_path)
+        obj = json.loads(path.read_text())
+        obj["seeds"] = [0, 0, 1]
+        path.write_text(json.dumps(obj))
+        calls = []
+        real_run = sim.run_detailed
+        monkeypatch.setattr(sim, "run_detailed", lambda cfgs: calls.append(cfgs) or real_run(cfgs))
+        assert main(["run", "--config", str(path)]) == 0
+        assert [[c.master_seed for c in cfgs] for cfgs in calls] == [[0], [1]]
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "avg_tau0.97_u3_k2_noise0_seed0", "avg_tau0.97_u3_k2_noise0_seed1"]
+        assert len(capsys.readouterr().out.splitlines()) == 2
+
     def test_missing_required_field_names_it(self, tmp_path, capsys):
         cfg = {"run": {"model": {"kind": "mlp1", "num_classes": 3},
                        "data": {"kind": "gaussian"}}, "seeds": [0]}

@@ -168,7 +168,7 @@ class TestPredict:
         params = init_params(spec)
         n = chunks * models._predict_chunk_rows(layers(params, spec)) + extra
         x = rng.normal(size=(n, spec.input_dim))
-        single = models._forward(layers(params, spec), x, spec)[2].argmax(axis=-1)
+        single = models._forward(layers(params, spec), x, spec)[1].argmax(axis=-1)
         assert single.shape == (n,)
         assert np.array_equal(predict(params, x, spec), single)
 
@@ -279,11 +279,41 @@ class TestStacked:
             bad = params.copy()
             layers(bad, MLP_TANH)[0][0][0, 0] = weight
             with np.errstate(invalid="ignore"):
-                ins, _, logits = models._forward(layers(bad, MLP_TANH), x, MLP_TANH)
+                ins, logits = models._forward(layers(bad, MLP_TANH), x, MLP_TANH)
             assert np.isfinite(ins[-1]).all() and np.isfinite(logits).all()
             with pytest.raises(ValueError, match="^non-finite loss or gradient$"):
                 with np.errstate(invalid="ignore"):
                     one_row(bad, x, y, MLP_TANH, weight_decay=0.0)
+
+    def test_relu_at_exact_zero_pre_activations(self, rng):
+        # relu's mask is read from its output, which is > 0.0 exactly where its
+        # input is, signed zeros and NaN included
+        pre = np.array([0.0, -0.0, np.nan, 5e-324, -5e-324, 1.0, -1.0, np.inf, -np.inf])
+        assert np.array_equal(np.maximum(pre, 0.0) > 0.0, pre > 0.0)
+        # hidden pre-activations that are exactly zero: zero feature rows (of +0.0
+        # and of -0.0) under a zero bias (+0.0 and -0.0), and rows whose two
+        # features cancel through a unit's weights (2 * 1.5 - 1 * 3.0); a product
+        # sum starts from +0.0 and x + -x is +0.0, so none reaches -0.0
+        spec = ModelSpec(kind=MLP1, input_dim=2, num_classes=3, hidden_dim=4,
+                         activation="relu", init_sigma=1.0, init_seed=5)
+        params = init_params(spec)
+        (w1, b1), _ = layers(params, spec)
+        w1[:2] = [[2.0, -1.0], [-4.0, 2.0]]
+        b1[:] = [0.0, -0.0, 0.0, -0.0]
+        x = rng.normal(size=(2, 6, 2))
+        x[:, 0], x[:, 1] = 0.0, -0.0
+        x[:, 2:4] = [[1.5, 3.0], [-0.25, -0.5]]
+        y = rng.integers(0, 3, size=(2, 6))
+        assert ((x @ w1.T + b1) == 0.0).sum() == 2 * (2 * 4 + 2 * 2)
+        rows = np.stack([params, 2.0 * params])  # the same zeros on both legs
+        for decay in (np.zeros(2), np.array([0.0, 0.1])):
+            grads = np.empty((2, 2, params.size))
+            losses = loss_and_grad(rows, x, y, spec, decay, grads)
+            for leg, i in np.ndindex(2, 2):
+                ref_loss, ref_grad = single_batch_loss_and_grad(rows[leg], x[i], y[i], spec,
+                                                                decay[leg])
+                assert losses[leg, i] == ref_loss
+                assert grads[leg, i].tobytes() == ref_grad.tobytes()
 
     def test_negative_zero_cross_entropy_reads_as_zero(self):
         # one dominant logit: every picked log-probability is exactly 0.0, so
