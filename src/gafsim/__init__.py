@@ -19,6 +19,7 @@ from .data import (
     take,
 )
 from .models import (
+    GradBlock,
     ModelSpec,
     accuracy,
     init_params,
@@ -55,6 +56,7 @@ __all__ = [
     "make_dataset",
     "sample_macrobatch",
     "take",
+    "GradBlock",
     "ModelSpec",
     "accuracy",
     "init_params",

@@ -33,7 +33,7 @@ import numpy as np
 
 from .aggregate import agreement_scan, gaf_aggregate, scan_work
 from .data import DataConfig
-from .models import MLP1, SOFTMAX_LINEAR, ModelSpec, init_params, loss_and_grad
+from .models import MLP1, SOFTMAX_LINEAR, GradBlock, ModelSpec, init_params, loss_and_grad
 from . import sim
 from .sim import AGG_AVERAGING, AGG_GAF, RunConfig, group_key
 from .telemetry import read_utf8, summarize, write_atomic, write_records
@@ -333,7 +333,7 @@ def cmd_check() -> int:
         rows[np.arange(1, 26), idx] += h
         rows[np.arange(26, 51), idx] -= h
         grads = np.empty((51, 1, params.size))
-        losses = loss_and_grad(rows, x, y, spec, np.full(51, 0.01), grads)
+        losses = loss_and_grad(GradBlock(rows, spec, np.full(51, 0.01), grads), x, y)
         fd = (losses[1:26, 0] - losses[26:, 0]) / (2 * h)
         grad = grads[0, 0, idx]
         worst = float((abs(fd - grad) / np.maximum(np.maximum(abs(fd), abs(grad)), 1e-8)).max())

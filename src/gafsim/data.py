@@ -64,6 +64,12 @@ class Dataset:
         sizes = np.bincount(self.labels, minlength=self.num_classes)
         return np.argsort(self.labels, kind="stable"), np.cumsum(sizes) - sizes, sizes
 
+    @cached_property
+    def sampling_plans(self) -> dict:
+        """sample_macrobatch's checked plan per (k, u, mode), each built on first use;
+        a shape that fails its checks is never stored."""
+        return {}
+
 
 @dataclass(frozen=True)
 class DataConfig:
@@ -199,37 +205,51 @@ def sample_macrobatch(
     (u must divide evenly), so all k microbatches share one class histogram.
     Uniform mode draws k*u distinct rows and chunks them. Deterministic
     given step_seed. Features and labels are gathered once, as contiguous
-    arrays.
+    arrays. The checks and bounds of a (k, u, mode) shape are made once per
+    dataset, in ds.sampling_plans.
     """
+    plan = ds.sampling_plans.get((k, u, mode))
+    if plan is None:
+        plan = ds.sampling_plans[k, u, mode] = _sampling_plan(ds, k, u, mode)
+    picks = plan(np.random.default_rng(step_seed))
+    return picks, ds.features[picks], ds.labels[picks]
+
+
+def _sampling_plan(ds: Dataset, k: int, u: int, mode: str):
+    """Check a (k, u, mode) macrobatch of ds; return the function that draws its
+    (k, u) picks from a step's generator."""
     if k < 1 or u < 1:
         raise ValueError("k and u must be positive")
-    rng = np.random.default_rng(step_seed)
-    if mode == STRATIFIED:
-        if u % ds.num_classes != 0:
-            raise ValueError(
-                f"stratified sampling needs u divisible by num_classes ({u} % {ds.num_classes} != 0)"
-            )
-        check_class_capacity(ds, k, u)
-        per_class = u // ds.num_classes
-        need = k * per_class
-        rows, starts, sizes = ds.class_layout
-        # the replay loops over need, the choice calls over classes: replay when it makes
-        # fewer numpy calls; choice's tail-shuffle branch needs need > 10000 // 50
-        if 2 * need <= ds.num_classes and need <= 200:
-            local = _replay_choice(rng, sizes, need)
-        else:
-            local = np.array([rng.choice(n, size=need, replace=False) for n in sizes.tolist()])
-        # class c's draw, in k chunks of per_class, fills columns c*per_class onward
-        chosen = rows[starts[:, None] + local]
-        picks = chosen.reshape(-1, k, per_class).transpose(1, 0, 2).reshape(k, u)
-    elif mode == UNIFORM:
-        if k * u > ds.n:
-            raise ValueError(f"macrobatch k*u={k * u} exceeds dataset size {ds.n}")
-        picks = rng.choice(ds.n, size=k * u, replace=False).reshape(k, u)
-    else:
+    if mode == UNIFORM:
+        n = ds.n
+        if k * u > n:
+            raise ValueError(f"macrobatch k*u={k * u} exceeds dataset size {n}")
+        return lambda rng: rng.choice(n, size=k * u, replace=False).reshape(k, u)
+    if mode != STRATIFIED:
         raise ValueError(f"unknown sampling mode {mode!r}")
+    if u % ds.num_classes != 0:
+        raise ValueError(
+            f"stratified sampling needs u divisible by num_classes ({u} % {ds.num_classes} != 0)"
+        )
+    check_class_capacity(ds, k, u)
+    per_class = u // ds.num_classes
+    need = k * per_class
+    rows, starts, sizes = ds.class_layout
+    starts = starts[None, :, None]
+    # the replay loops over need, the choice calls over classes: replay when it makes
+    # fewer numpy calls; choice's tail-shuffle branch needs need > 10000 // 50
+    bounds = _replay_bounds(sizes, need) if 2 * need <= ds.num_classes and need <= 200 else None
+    pools = sizes.tolist()
 
-    return picks, ds.features[picks], ds.labels[picks]
+    def picks(rng: np.random.Generator) -> np.ndarray:
+        if bounds is not None:
+            local = _replay_choice(rng, bounds)
+        else:
+            local = np.array([rng.choice(n, size=need, replace=False) for n in pools])
+        # class c's draw, in k chunks of per_class, fills columns c*per_class onward
+        return rows[starts + local.reshape(-1, k, per_class).swapaxes(0, 1)].reshape(k, u)
+
+    return picks
 
 
 def check_class_capacity(ds: Dataset, k: int, u: int) -> None:
@@ -241,8 +261,19 @@ def check_class_capacity(ds: Dataset, k: int, u: int) -> None:
         raise ValueError(f"class {c} has {sizes[c]} samples, need {need} for k={k}, u={u}")
 
 
-def _replay_choice(rng: np.random.Generator, sizes: np.ndarray, need: int) -> np.ndarray:
-    """[rng.choice(n, size=need, replace=False) for n in sizes] from one integers call.
+def _replay_bounds(sizes: np.ndarray, need: int) -> tuple[np.ndarray, np.ndarray]:
+    """_replay_choice's draw bounds for need rows of each pool in sizes, and where
+    each pool's draws start in the flattened (pools, need) draw."""
+    steps = np.arange(need)
+    highs = np.empty((sizes.size, 2 * need - 1), dtype=np.int64)
+    highs[:, :need] = (sizes - need)[:, None] + steps
+    highs[:, need:] = steps[:0:-1]
+    return highs, np.arange(0, sizes.size * need, need)
+
+
+def _replay_choice(rng: np.random.Generator, bounds: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """[rng.choice(n, size=need, replace=False) for n in sizes] from one integers call,
+    given _replay_bounds(sizes, need).
 
     On its Floyd branch (n <= 10000 or need <= n // 50), choice makes draw t
     uniform on [0, n - need + t], taking that bound instead if the value is
@@ -252,20 +283,18 @@ def _replay_choice(rng: np.random.Generator, sizes: np.ndarray, need: int) -> np
     stream. The caller checks every n >= need and that no n is on the
     tail-shuffle branch.
     """
-    steps = np.arange(need)
-    highs = np.empty((sizes.size, 2 * need - 1), dtype=np.int64)
-    highs[:, :need] = (sizes - need)[:, None] + steps
-    highs[:, need:] = steps[:0:-1]
+    highs, firsts = bounds
+    need = (highs.shape[1] + 1) // 2
     draws = rng.integers(0, highs, endpoint=True)
     local = draws[:, :need].copy()
     for t in range(1, need):
-        taken = (local[:, :t] == local[:, t, None]).any(axis=1)
-        local[taken, t] = highs[taken, t]
-    classes = np.arange(sizes.size)
-    for i, j in zip(steps[:0:-1], draws[:, need:].T):
-        swapped = local[:, i].copy()
-        local[:, i] = local[classes, j]
-        local[classes, j] = swapped
+        np.copyto(local[:, t], highs[:, t], where=(local[:, :t] == local[:, t, None]).any(axis=1))
+    flat = local.reshape(-1)  # pool c's draws start at flat[firsts[c]]
+    for i, j in zip(range(need - 1, 0, -1), draws[:, need:].T):
+        at, to = firsts + i, firsts + j
+        swapped = flat[at]
+        flat[at] = flat[to]
+        flat[to] = swapped
     return local
 
 

@@ -110,59 +110,73 @@ def _forward(layers, features: np.ndarray, spec: ModelSpec):
     return ins, logits
 
 
-def loss_and_grad(
-    params: np.ndarray,
-    features: np.ndarray,
-    labels: np.ndarray,
-    spec: ModelSpec,
-    weight_decay: np.ndarray,
-    grad: np.ndarray,
-) -> np.ndarray:
+class GradBlock:
+    """What a run group's gradient calls share, checked and laid out once.
+
+    params: a float64 C-contiguous copy of the (L, P) parameter rows, one
+    vector per row, which the caller rewrites in place between calls.
+    decay: each row's weight decay as an (L, 1) column. grad: the caller's
+    (L, k, P) float64 C-contiguous block that every call writes into; a block
+    of another shape, dtype or layout is a ValueError. layers and views: each
+    layer's (weight, bias) views of params, as (L, 1, rows, cols) weights that
+    meet all k microbatches, and of grad.
+    """
+
+    def __init__(self, params: np.ndarray, spec: ModelSpec, weight_decay: np.ndarray,
+                 grad: np.ndarray):
+        params = np.array(params, dtype=np.float64, order="C")
+        decay = np.asarray(weight_decay, dtype=np.float64)
+        if params.ndim != 2:
+            raise ValueError(f"params of shape {params.shape}, expected (L, P) rows")
+        n_rows, size = params.shape
+        if decay.shape != (n_rows,):
+            raise ValueError(f"weight_decay of shape {decay.shape} for {n_rows} parameter rows")
+        if grad.ndim != 3 or grad.shape[::2] != (n_rows, size):
+            k = grad.shape[1] if grad.ndim == 3 else "k"
+            raise ValueError(f"gradient block of shape {grad.shape}, expected ({n_rows}, {k}, {size})")
+        if grad.dtype != np.float64:
+            raise ValueError(f"gradient block of dtype {grad.dtype}, expected float64")
+        if not grad.flags.c_contiguous:
+            raise ValueError(f"gradient block with strides {grad.strides}, expected C-contiguous")
+        self.params, self.spec, self.grad = params, spec, grad
+        self.layers = _layer_views(params[:, None], spec)
+        self.views = _layer_views(grad, spec)
+        self.any_decay = decay.any()
+        self.decay = decay[:, None]
+
+
+def loss_and_grad(block: GradBlock, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Mean cross-entropy plus (weight_decay/2) * ||weights||^2, with its gradient,
-    of (L, P) params, one vector per row, each with its own (L,) weight_decay,
-    on k microbatches, (k, u, d) features and (k, u) labels. Returns (L, k)
-    losses and writes the gradients, flattened in parameter order, into the
-    caller's (L, k, P) float64 C-contiguous block `grad`; any other shape, or a
-    block of another dtype or layout, is a ValueError. Row [l, i] is
-    bit-identical to the call on params[l:l+1] and microbatch i alone: every
-    product and reduction runs per row and microbatch.
+    of the block's (L, P) parameter rows, each with its own weight decay, on k
+    microbatches, (k, u, d) features and (k, u) labels. Returns (L, k) losses
+    and writes the gradients, flattened in parameter order, into the block's
+    (L, k, P) gradient block. Row [l, i] is bit-identical to the call on
+    params[l:l+1] and microbatch i alone: every product and reduction runs per
+    row and microbatch.
 
     The decay covers weight matrices only, never biases, and is folded into
     the gradient so every micro-gradient already carries regularization.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
-    decay = np.asarray(weight_decay, dtype=np.float64)
-    if params.ndim != 2:
-        raise ValueError(f"params of shape {params.shape}, expected (L, P) rows")
     if features.ndim != 3 or features.shape[0] == 0 or features.shape[1] == 0:
         raise ValueError(f"features of shape {features.shape}, expected nonempty (k, u, d)")
     if labels.shape != features.shape[:2]:
         raise ValueError(f"labels of shape {labels.shape} disagree with {features.shape} features")
+    spec, grad = block.spec, block.grad
     k, n, d = features.shape
     if d != spec.input_dim:
         raise ValueError(f"feature dim {d} does not match spec.input_dim {spec.input_dim}")
     c = spec.num_classes
     if labels.min() < 0 or labels.max() >= c:
         raise ValueError(f"labels must be in [0, {c})")
-    n_rows = params.shape[0]
-    if decay.shape != (n_rows,):
-        raise ValueError(f"weight_decay of shape {decay.shape} for {n_rows} parameter rows")
-    if grad.shape != (n_rows, k, params.shape[1]):
-        raise ValueError(f"gradient block of shape {grad.shape}, expected "
-                         f"{(n_rows, k, params.shape[1])}")
-    if grad.dtype != np.float64:
-        raise ValueError(f"gradient block of dtype {grad.dtype}, expected float64")
-    if not grad.flags.c_contiguous:
-        raise ValueError(f"gradient block with strides {grad.strides}, expected C-contiguous")
-    decays = decay.any()
-    decay = decay[:, None]
+    n_rows, rows_k, size = grad.shape
+    if rows_k != k:
+        raise ValueError(f"gradient block of shape {grad.shape}, expected {(n_rows, k, size)}")
+    layers, decay = block.layers, block.decay
     # flat index of each row's label entry in an (L, k, n, c) array
     picks = (np.arange(0, n_rows * k * n * c, c).reshape(n_rows, -1) + labels.ravel()).ravel()
 
-    # (L, 1, rows, cols) weights: each row's parameters meet all k microbatches
-    layers = _layer_views(params[:, None], spec)
-    views = _layer_views(grad, spec)
     ins, logits = _forward(layers, features, spec)
     log_p = _log_softmax(logits)
     ce = -log_p.reshape(-1)[picks].reshape(n_rows, k, n).sum(axis=-1) / n
@@ -171,11 +185,11 @@ def loss_and_grad(
     dout /= n
     reg = 0.0  # exact: a sum of squares is never -0.0, so adding 0.0 changes no bit
     for i in reversed(range(len(layers))):
-        (w, _), (gw, gb) = layers[i], views[i]
+        (w, _), (gw, gb) = layers[i], block.views[i]
         np.matmul(dout.swapaxes(-1, -2), ins[i], out=gw)
         # a matmul sums from +0.0, so it never yields -0.0, and adding a zero decay's
         # +-0.0 changes no bit: the multiply-adds run only when some row has decay
-        if decays:
+        if block.any_decay:
             gw += decay[..., None, None] * w
         dout.sum(axis=-2, out=gb)
         reg = (w * w).reshape(n_rows, -1).sum(axis=-1) + reg

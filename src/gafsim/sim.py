@@ -7,11 +7,12 @@ sampling, pivot draws, initialization) derives from master_seed through a
 splitmix64 chain, so runs are bit-reproducible from master_seed alone.
 Configs that share the data, seed and macrobatch shape run as one group in
 lockstep (run_detailed), drawing each macrobatch and pivot once for all of
-them. Each step makes one loss_and_grad call, its one form: the legs'
-(L, P) parameter rows on the (k, u, d) macrobatch, writing into the group's
-one (L, k, P) gradient block, whose row [l, i] is bit-identical to leg l's
-worker i evaluated alone, and one agreement_scan call over that block,
-whose outcome l is byte-equal to leg l's own gaf_aggregate call.
+them. A group builds one GradBlock: the legs' (L, P) parameter rows and
+the one (L, k, P) gradient block, checked and laid out once. Each step
+makes one loss_and_grad call on it and the (k, u, d) macrobatch, whose row
+[l, i] is bit-identical to leg l's worker i evaluated alone, and one
+agreement_scan call over that block, whose outcome l is byte-equal to leg
+l's own gaf_aggregate call.
 
 The validation split is carved from the generated dataset and always
 scored against clean labels, even when the training labels are noisy.
@@ -30,7 +31,7 @@ from .aggregate import (  # noqa: F401
     agreement_scan, average, draw_pivot, gaf_aggregate, running_scan_distances, scan_work,
 )
 from .data import Dataset, DataConfig, make_dataset, sample_macrobatch, take
-from .models import ModelSpec, accuracy, init_params, loss_and_grad
+from .models import GradBlock, ModelSpec, accuracy, init_params, loss_and_grad
 from .optim import OptimState, init_optim, plateau_update, sgd_step, skip_step
 from .telemetry import StepRecord, summarize
 
@@ -160,9 +161,9 @@ def run_detailed(cfgs: Sequence[RunConfig]) -> list[RunResult]:
     The configs must agree on GROUP_FIELDS, so they share the dataset, split,
     init, every macrobatch and every pivot draw: each is built or drawn once
     per group (or per step). At each step one loss_and_grad call on the
-    legs' (L, P) parameter rows writes every leg's k micro-gradients into
-    the group's one (L, k, P) block, allocated once, leg i's rows byte-equal
-    to its own (1, P) call, and one agreement_scan call filters every leg's
+    group's GradBlock, built once, writes every leg's k micro-gradients into
+    the group's one (L, k, P) block, leg i's rows byte-equal to its own
+    (1, P) call, and one agreement_scan call filters every leg's
     rows with its own tau and pivot, each outcome byte-equal to the leg's
     own gaf_aggregate call; each leg then takes its own optimizer step and
     evaluations, so its records and final state are byte-equal to its
@@ -224,9 +225,13 @@ def run_detailed(cfgs: Sequence[RunConfig]) -> list[RunResult]:
     decay = np.array([cfg.weight_decay for cfg in legs])
     # every step's gradients land in this one block, and its scan works in these
     # buffers, so no step frees and re-faults their pages; leg i's rows are views
-    # of the block, used only within their step
+    # of the block, used only within their step. The GradBlock keeps every leg's
+    # parameters as one row, copied in when the leg steps.
     grads = np.empty((len(legs), k, init.size))
+    block = GradBlock(np.tile(init, (len(legs), 1)), spec, decay, grads)
     work = scan_work(*grads.shape)
+    # derive_seed(master, tag, t) is one more splitmix64 round on derive_seed(master, tag)
+    step_base, pivot_base = derive_seed(master, _TAG_STEP), derive_seed(master, _TAG_PIVOT)
 
     # a diverging run overflows (weights' squares, a dot product) before a guard in
     # loss_and_grad or the agreement scan raises for it: that raise is all it prints
@@ -234,23 +239,22 @@ def run_detailed(cfgs: Sequence[RunConfig]) -> list[RunResult]:
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, first.steps + 1):
             _, features, labels = sample_macrobatch(
-                train, k, first.u, first.sampling, derive_seed(master, _TAG_STEP, t)
+                train, k, first.u, first.sampling, _splitmix64(step_base ^ t)
             )
-            drawn = draw_pivot(k, derive_seed(master, _TAG_PIVOT, t)) if draws_pivot else None
+            drawn = draw_pivot(k, _splitmix64(pivot_base ^ t)) if draws_pivot else None
             pivots = [drawn if p is None else p for p in fixed]
             # every leg's k micro-gradients in one call, then every leg's scan in one:
             # losses[i], grads[i] and outcomes[i] are leg i's
             try:
-                losses = loss_and_grad(np.array([leg.params for leg in legs.values()]),
-                                       features, labels, spec, decay, grads)
+                losses = loss_and_grad(block, features, labels)
                 outcomes = agreement_scan(grads, taus, pivots, work)
             except ValueError:
                 # a leg diverged: evaluate and scan leg by leg instead, so the error below
                 # names the leg, and the failure, that a leg-by-leg pass meets first
                 for i, leg in enumerate(legs.values()):
                     try:
-                        loss_and_grad(leg.params[None], features, labels, spec, decay[i:i + 1],
-                                      grads[i:i + 1])
+                        loss_and_grad(GradBlock(block.params[i:i + 1], spec, decay[i:i + 1],
+                                                grads[i:i + 1]), features, labels)
                         agreement_scan(grads[i:i + 1], taus[i:i + 1], pivots[i:i + 1], work)
                     except ValueError as exc:
                         where = "" if len(legs) == 1 else f" in group leg {i}"
@@ -267,6 +271,7 @@ def run_detailed(cfgs: Sequence[RunConfig]) -> list[RunResult]:
                     leg.opt = skip_step(leg.opt)
                 else:
                     leg.params, leg.opt = sgd_step(leg.params, gradient, leg.opt)
+                    block.params[i] = leg.params
 
                 scheduled = not skipped and leg.opt.step_count % cfg.eval_every == 0
                 train_acc = val_acc = None

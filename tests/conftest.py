@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gafsim.models import loss_and_grad
+from gafsim.models import GradBlock, loss_and_grad
 
 N_PROPERTY_CASES = 200
 
@@ -32,6 +32,6 @@ def one_row(params, features, labels, spec, weight_decay=0.0):
     """loss_and_grad on one (P,) parameter vector and one (u, d) microbatch, given
     as its (1, P) x (1, u, d) call: (loss, (P,) gradient)."""
     grads = np.empty((1, 1, params.size))
-    losses = loss_and_grad(params[None], features[None], labels[None], spec,
-                           np.array([weight_decay]), grads)
+    losses = loss_and_grad(GradBlock(params[None], spec, np.array([weight_decay]), grads),
+                           features[None], labels[None])
     return losses[0, 0], grads[0, 0]

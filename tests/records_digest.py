@@ -87,11 +87,13 @@ seeded with ``(i, 4)``: both model kinds and both activations, L 1-4
 parameter rows on k 1-5 microbatches of u 1-30 rows, weight decay 0,
 greater than 0 or mixed across rows, and ``init_sigma`` up to 10; about
 one case in ten has weights near 1e155 or features near 1e300, so that a
-square or a product overflows. It prints, per case, the sha256 of the
-``loss_and_grad`` losses and gradient block followed by each row's
-``predict`` output on the case's features, or of the error raised. It
-reads only public ``gafsim.models`` names, so one copy can be run
-against each tree's ``src/``:
+square or a product overflows. Each case reuses one ``GradBlock``, as a
+run group does: built on zero rows, called once on the case's features
+with other labels, then given the case's rows in place. It prints, per
+case, the sha256 of that second ``loss_and_grad`` call's losses and
+gradient block followed by each row's ``predict`` output on the case's
+features, or of the error raised. It reads only public ``gafsim.models``
+names, so one copy can be run against each tree's ``src/``:
 
     PYTHONPATH=src python3 tests/records_digest.py models 2000 > after.json
     PYTHONPATH=/path/to/parent/src python3 tests/records_digest.py models 2000 > before.json
@@ -130,7 +132,7 @@ from gafsim import gen_gaussian_clusters, gen_white_noise, inject_symmetric_nois
 from gafsim.aggregate import gaf_aggregate
 from gafsim.cli import main as cli_main
 from gafsim.data import DataConfig, make_dataset
-from gafsim.models import ModelSpec, init_params, loss_and_grad, predict
+from gafsim.models import GradBlock, ModelSpec, init_params, loss_and_grad, predict
 from gafsim.sim import RunConfig, RunResult, run_detailed
 from gafsim.telemetry import write_records
 
@@ -390,10 +392,15 @@ def model_digest(index: int) -> str:
     output, or of its error."""
     spec, params, features, labels, decay = random_model_case(index)
     grad = np.empty((params.shape[0], features.shape[0], params.shape[1]))
+    block = GradBlock(np.zeros_like(params), spec, decay, grad)
     try:
         # an overflowing case is the point of some cases: no warnings for it
         with np.errstate(over="ignore", invalid="ignore"):
-            losses = loss_and_grad(params, features, labels, spec, decay, grad)
+            # the first call's outcome is not hashed: it only leaves the block used
+            with contextlib.suppress(ValueError):
+                loss_and_grad(block, features, (labels + 1) % spec.num_classes)
+            block.params[...] = params
+            losses = loss_and_grad(block, features, labels)
             flat = features.reshape(-1, spec.input_dim)
             blob = losses.tobytes() + grad.tobytes() + b"".join(
                 predict(row, flat, spec).tobytes() for row in params)

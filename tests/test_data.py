@@ -9,6 +9,7 @@ from gafsim.data import (
     UNIFORM,
     DataConfig,
     Dataset,
+    _replay_bounds,
     _replay_choice,
     gen_gaussian_clusters,
     gen_white_noise,
@@ -169,6 +170,71 @@ class TestMacrobatchSampling:
             sample_macrobatch(ds, 3, 5, UNIFORM, step_seed=0)
 
 
+def _noisy_clusters():
+    # the noisy-cluster task's classes: 10 of about 400 rows, 40% of labels flipped
+    return inject_symmetric_noise(gen_gaussian_clusters(10, 3, 400, 0.3, seed=4), 0.4, seed=5)
+
+
+class TestSamplingPlans:
+    """sample_macrobatch checks a (k, u, mode) shape and lays out its bounds once per
+    dataset, in ds.sampling_plans: a dataset sampled in several shapes must draw what
+    a fresh one draws, and a shape that fails its checks must fail every time."""
+
+    # replayed (2 rows a class), per-class choice calls (criterion 6's u = 50: 10 rows
+    # a class), and uniform
+    SHAPES = [(2, 10, STRATIFIED), (2, 50, STRATIFIED), (3, 7, UNIFORM)]
+
+    @pytest.mark.parametrize("first, second", [(0, 1), (1, 0), (0, 2), (2, 1)],
+                             ids=["replay-then-choice", "choice-then-replay",
+                                  "replay-then-uniform", "uniform-then-choice"])
+    def test_two_shapes_in_turn_draw_what_a_fresh_dataset_draws(self, first, second):
+        ds = _noisy_clusters()
+        for step in range(12):
+            shape = self.SHAPES[(first, second)[step % 2]]
+            seed = 1000 + step
+            got = sample_macrobatch(ds, *shape, seed)
+            fresh = _noisy_clusters()
+            expected = sample_macrobatch(fresh, *shape, seed)
+            for a, b in zip(got, expected):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            # the memoized plan leaves a generator where a fresh dataset's plan does
+            rngs = [np.random.default_rng(seed) for _ in range(2)]
+            ds.sampling_plans[shape](rngs[0])
+            fresh.sampling_plans[shape](rngs[1])
+            assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+        assert set(ds.sampling_plans) == {self.SHAPES[first], self.SHAPES[second]}
+
+    def test_a_plan_is_built_once_per_shape(self):
+        ds = _noisy_clusters()
+        sample_macrobatch(ds, 2, 10, STRATIFIED, 1)
+        plan = ds.sampling_plans[2, 10, STRATIFIED]
+        sample_macrobatch(ds, 2, 10, STRATIFIED, 2)
+        assert ds.sampling_plans[2, 10, STRATIFIED] is plan and len(ds.sampling_plans) == 1
+        # a subset is a new dataset with plans of its own
+        assert take(ds, np.arange(ds.n)).sampling_plans == {}
+
+    @pytest.mark.parametrize("k, u, mode, message", [
+        (0, 10, STRATIFIED, "k and u must be positive"),
+        (2, 0, UNIFORM, "k and u must be positive"),
+        (2, 15, STRATIFIED,
+         r"stratified sampling needs u divisible by num_classes \(15 % 10 != 0\)"),
+        (2, 10, "sorted", "unknown sampling mode 'sorted'"),
+        (4, 7, UNIFORM, "macrobatch k\\*u=28 exceeds dataset size 27"),
+        (3, 10, STRATIFIED, "class 2 has 0 samples, need 3 for k=3, u=10"),
+    ], ids=["k-zero", "u-zero", "indivisible-u", "unknown-mode", "uniform-overdraw",
+            "short-class"])
+    def test_a_failing_shape_raises_every_call_and_is_never_stored(self, k, u, mode, message):
+        # 10 classes of 3 rows, but class 2 has none
+        labels = np.repeat([c for c in range(10) if c != 2], 3)
+        ds = Dataset(np.zeros((labels.size, 2)), labels, labels.copy(), num_classes=10)
+        for seed in (0, 1):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                sample_macrobatch(ds, k, u, mode, seed)
+            assert ds.sampling_plans == {}
+        picks, _, _ = sample_macrobatch(ds, 1, 2, UNIFORM, 0)
+        assert picks.shape == (1, 2) and list(ds.sampling_plans) == [(1, 2, UNIFORM)]
+
+
 def _csv_dataset(tmp_path):
     path = tmp_path / "data.csv"
     rows = [f"{0.5 * i},{-1.0 * i},{(i * 7) % 4}" for i in range(30)]
@@ -259,7 +325,7 @@ class TestSamplingReplay:
 
     def _assert_replays(self, sizes, need, seed):
         rng = np.random.default_rng(seed)
-        local = _replay_choice(rng, np.asarray(sizes), need)
+        local = _replay_choice(rng, _replay_bounds(np.asarray(sizes), need))
         expected, state = _choice_calls(np.asarray(sizes), need, seed)
         assert np.array_equal(local, expected), (sizes, need, seed)
         assert rng.bit_generator.state == state, (sizes, need, seed)
@@ -282,7 +348,7 @@ class TestSamplingReplay:
         # 201 of 10001 rows takes choice's tail shuffle, which the replay does not
         # follow: the sampler must (and does) call choice there
         rng = np.random.default_rng(seed)
-        assert not np.array_equal(_replay_choice(rng, np.array([10001]), 201),
+        assert not np.array_equal(_replay_choice(rng, _replay_bounds(np.array([10001]), 201)),
                                   _choice_calls(np.array([10001]), 201, seed)[0])
 
     @pytest.mark.parametrize("sizes, k, per_class", [

@@ -8,6 +8,7 @@ from gafsim import models
 from gafsim.models import (
     MLP1,
     SOFTMAX_LINEAR,
+    GradBlock,
     ModelSpec,
     accuracy,
     init_params,
@@ -216,8 +217,7 @@ class TestLayout:
         with pytest.raises(ValueError, match=layout):
             one_row(bad, x, y, MLP_TANH)
         with pytest.raises(ValueError, match=layout):
-            loss_and_grad(np.stack([bad, bad]), np.stack([x, x]), np.stack([y, y]), MLP_TANH,
-                          np.zeros(2), np.empty((2, 2, bad.size)))
+            GradBlock(np.stack([bad, bad]), MLP_TANH, np.zeros(2), np.empty((2, 2, bad.size)))
         with pytest.raises(ValueError, match=layout):
             predict(bad, x, MLP_TANH)
         with pytest.raises(ValueError, match=layout):
@@ -230,8 +230,8 @@ class TestLayout:
 
 
 class TestStacked:
-    """loss_and_grad's one form: (L, P) params on (k, u, d) features with (L,) decay,
-    writing into an (L, k, P) float64 C-contiguous block."""
+    """loss_and_grad's one form: a GradBlock of (L, P) params with (L,) decay, writing
+    into an (L, k, P) float64 C-contiguous block, on (k, u, d) features."""
 
     def test_label_out_of_range_errors(self, rng):
         x, y = random_batch(rng, LINEAR)
@@ -251,23 +251,28 @@ class TestStacked:
          r"weight_decay of shape \(3,\) for 2 parameter rows"),
         ((2, 28), (2, 5, 6), (2,), lambda: np.empty((2, 2, 29)),
          r"gradient block of shape \(2, 2, 29\), expected \(2, 2, 28\)"),
+        ((2, 28), (2, 5, 6), (2,), lambda: np.empty((2, 28)),
+         r"gradient block of shape \(2, 28\), expected \(2, k, 28\)"),
+        ((2, 28), (2, 5, 6), (2,), lambda: np.empty((2, 3, 28)),
+         r"gradient block of shape \(2, 3, 28\), expected \(2, 2, 28\)"),
         ((2, 28), (2, 5, 6), (2,), lambda: np.empty((2, 2, 28), dtype=np.float32),
          r"gradient block of dtype float32, expected float64"),
         ((2, 28), (2, 5, 6), (2,), lambda: np.empty((2, 2, 56))[..., ::2],
          r"gradient block with strides \(896, 448, 16\), expected C-contiguous"),
     ], ids=["1-d-params", "2-d-features", "scalar-decay", "decay-per-row-plus-one",
-            "block-one-entry-long", "float32-block", "strided-block"])
+            "block-one-entry-long", "2-d-block", "block-of-other-k", "float32-block",
+            "strided-block"])
     def test_other_shapes_are_rejected(self, params, features, decay, block, message):
         labels = np.zeros(features[:-1], dtype=int)
         with pytest.raises(ValueError, match=f"^{message}$"):
-            loss_and_grad(np.zeros(params), np.zeros(features), labels, LINEAR, np.zeros(decay),
-                          block())
+            loss_and_grad(GradBlock(np.zeros(params), LINEAR, np.zeros(decay), block()),
+                          np.zeros(features), labels)
 
     def test_stacked_label_shape_mismatch_errors(self, rng):
         x = rng.normal(size=(2, 5, 6))
         with pytest.raises(ValueError, match="disagree"):
-            loss_and_grad(init_params(LINEAR)[None], x, np.zeros((2, 4), dtype=int), LINEAR,
-                          np.zeros(1), np.empty((1, 2, 28)))
+            loss_and_grad(GradBlock(init_params(LINEAR)[None], LINEAR, np.zeros(1),
+                                    np.empty((1, 2, 28))), x, np.zeros((2, 4), dtype=int))
 
     def test_nonfinite_weight_raises_at_zero_decay(self, rng):
         # an inf first-layer weight saturates its tanh unit, so the cross-entropy and
@@ -308,7 +313,7 @@ class TestStacked:
         rows = np.stack([params, 2.0 * params])  # the same zeros on both legs
         for decay in (np.zeros(2), np.array([0.0, 0.1])):
             grads = np.empty((2, 2, params.size))
-            losses = loss_and_grad(rows, x, y, spec, decay, grads)
+            losses = loss_and_grad(GradBlock(rows, spec, decay, grads), x, y)
             for leg, i in np.ndindex(2, 2):
                 ref_loss, ref_grad = single_batch_loss_and_grad(rows[leg], x[i], y[i], spec,
                                                                 decay[leg])
@@ -329,9 +334,58 @@ class TestStacked:
         assert ce == 0.0 and math.copysign(1.0, ce) == -1.0
         loss, _ = one_row(params, x, y, spec)
         assert math.copysign(1.0, loss) == 1.0
-        losses = loss_and_grad(np.stack([params, params]), np.stack([x, x]), np.stack([y, y]),
-                               spec, np.zeros(2), np.empty((2, 2, params.size)))
+        block = GradBlock(np.stack([params, params]), spec, np.zeros(2),
+                          np.empty((2, 2, params.size)))
+        losses = loss_and_grad(block, np.stack([x, x]), np.stack([y, y]))
         assert [math.copysign(1.0, v) for v in losses.ravel()] == [1.0] * 4
+
+
+class TestGradBlock:
+    """A GradBlock is built once per run group and reused every step: the rows
+    rewritten in place between calls must give what a fresh block gives."""
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=["linear", "tanh", "relu"])
+    @pytest.mark.parametrize("decay", [np.zeros(3), np.array([0.0, 1e-3, 0.1]), np.full(3, 0.05)],
+                             ids=["no-decay", "mixed-decay", "decay"])
+    def test_reused_block_equals_a_fresh_block_per_call(self, rng, spec, k, decay):
+        grads = np.empty((3, k, init_params(spec).size))
+        block = GradBlock(np.zeros((3, grads.shape[2])), spec, decay, grads)
+        for u in (5, 5, 9, 1, 5):
+            rows = rng.normal(size=block.params.shape)
+            block.params[...] = rows
+            x = rng.normal(size=(k, u, spec.input_dim))
+            y = rng.integers(0, spec.num_classes, size=(k, u))
+            losses = loss_and_grad(block, x, y)
+            fresh = np.empty_like(grads)
+            assert losses.tobytes() == loss_and_grad(GradBlock(rows, spec, decay, fresh),
+                                                     x, y).tobytes()
+            for leg, i in np.ndindex(3, k):
+                assert grads[leg, i].tobytes() == fresh[leg, i].tobytes()
+
+    def test_block_holds_its_own_rows_and_the_callers_gradient_block(self):
+        rows, grads = np.zeros((2, 28)), np.empty((2, 1, 28))
+        block = GradBlock(rows, LINEAR, np.zeros(2), grads)
+        assert block.grad is grads and not np.shares_memory(block.params, rows)
+        assert block.params.flags.c_contiguous and block.params.dtype == np.float64
+        # every layer view reads the block's rows and writes the block's gradients
+        for (w, b), (gw, gb) in zip(block.layers, block.views):
+            assert np.shares_memory(w, block.params) and np.shares_memory(b, block.params)
+            assert np.shares_memory(gw, grads) and np.shares_memory(gb, grads)
+
+    def test_call_errors_keep_the_block_usable(self, rng):
+        block = GradBlock(init_params(LINEAR)[None], LINEAR, np.zeros(1), np.empty((1, 2, 28)))
+        x, y = rng.normal(size=(2, 5, 6)), rng.integers(0, 4, size=(2, 5))
+        expected = loss_and_grad(block, x, y).tobytes()
+        for bad in (-1, LINEAR.num_classes):
+            with pytest.raises(ValueError, match=r"^labels must be in \[0, 4\)$"):
+                loss_and_grad(block, x, np.full((2, 5), bad))
+        with pytest.raises(ValueError, match=r"^feature dim 5 does not match spec.input_dim 6$"):
+            loss_and_grad(block, x[..., :5], y)
+        with pytest.raises(ValueError, match=r"^gradient block of shape \(1, 2, 28\), "
+                                             r"expected \(1, 3, 28\)$"):
+            loss_and_grad(block, rng.normal(size=(3, 5, 6)), np.zeros((3, 5), dtype=int))
+        assert loss_and_grad(block, x, y).tobytes() == expected
 
 
 @pytest.mark.properties
@@ -437,7 +491,7 @@ class TestProperties:
                      np.concatenate([np.zeros(n_legs), np.full(n_legs, 0.1)]))
             for rows, decay in ((params[None], np.array([wd])), (leg_params, leg_wd), mixed):
                 grads = np.empty((len(rows), k, params.size))
-                losses = loss_and_grad(rows, x, y, spec, decay, grads)
+                losses = loss_and_grad(GradBlock(rows, spec, decay, grads), x, y)
                 assert losses.shape == (len(rows), k)
                 for leg, i in np.ndindex(len(rows), k):
                     loss, grad = one_row(rows[leg], x[i], y[i], spec, decay[leg])

@@ -490,12 +490,12 @@ class TestRunGroups:
 
     @staticmethod
     def record_blocks(monkeypatch):
-        """Patch the loop's loss_and_grad to record each call's row count and block."""
+        """Patch the loop's loss_and_grad to record each call's row count and gradient block."""
         calls = []
 
-        def recording(params, features, labels, spec, weight_decay, grad):
-            calls.append((len(params), grad))
-            return loss_and_grad(params, features, labels, spec, weight_decay, grad)
+        def recording(block, features, labels):
+            calls.append((len(block.params), block.grad))
+            return loss_and_grad(block, features, labels)
 
         monkeypatch.setattr(sim, "loss_and_grad", recording)
         return calls
@@ -560,9 +560,10 @@ class TestRunGroups:
         crafted[2][1, 0] = 1e200
         group_blocks = []
 
-        def crafting(params, features, labels, spec, weight_decay, grad):
-            losses = loss_and_grad(params, features, labels, spec, weight_decay, grad)
-            if len(params) == len(legs):
+        def crafting(block, features, labels):
+            losses = loss_and_grad(block, features, labels)
+            grad = block.grad
+            if len(block.params) == len(legs):
                 group_blocks.append(grad)
             if len(group_blocks) == 5:
                 whole = group_blocks[0]
