@@ -6,7 +6,9 @@ against the *running sum* of everything accepted so far; it is admitted
 when its cosine distance to that sum is <= tau. If nothing beyond the
 pivot is admitted the whole macrobatch is skipped. The scan is therefore
 order dependent: the outcome can move with the pivot choice. The caller
-picks the pivot; the training loop draws one per step with draw_pivot.
+picks the pivot; the training loop draws one per step with draw_pivot
+when k >= 3. At k = 2 the pivot cannot move the outcome's gradient or
+distance (p + c == c + p), so the loop uses pivot 0.
 
 With k >= 2 micro-gradients, a threshold of 2 admits every candidate,
 which makes filtering equivalent to plain averaging. A lone gradient
@@ -87,8 +89,9 @@ def average(grads: list[np.ndarray] | np.ndarray) -> np.ndarray:
     return acc / len(vecs)
 
 
-def draw_pivot(k: int, seed: int) -> int:
-    """The pivot index drawn uniformly from [0, k) by a generator seeded with seed."""
+def draw_pivot(k: int, seed: int | np.random.Generator) -> int:
+    """The pivot index drawn uniformly from [0, k) by np.random.default_rng(seed): seed
+    is a seed or a Generator, which is drawn from as it is."""
     return int(np.random.default_rng(seed).integers(k))
 
 

@@ -5,8 +5,9 @@ Subcommands:
   sweep   cross a sweep axis (tau grid, noise rates, or microbatch sizes)
           with the seed list, running agreement filtering against the
           averaging baseline and tabulating the improvement per cell
-  check   quick self-tests: finite-difference gradients and an
-          independent re-derivation of the aggregation scan
+  check   quick self-tests: finite-difference gradients, an independent
+          re-derivation of the aggregation scan, and the precomputed
+          generator states against numpy's seeding
 
 Configs are JSON (schema documented in the README). The keys, their
 types and their defaults are the fields of ModelSpec, DataConfig and
@@ -34,7 +35,7 @@ import numpy as np
 from .aggregate import agreement_scan, gaf_aggregate, scan_work
 from .data import DataConfig
 from .models import MLP1, SOFTMAX_LINEAR, GradBlock, ModelSpec, init_params, loss_and_grad
-from . import sim
+from . import seeding, sim
 from .sim import AGG_AVERAGING, AGG_GAF, RunConfig, group_key
 from .telemetry import read_utf8, summarize, write_atomic, write_records
 
@@ -371,6 +372,16 @@ def cmd_check() -> int:
         print(f"FAIL aggregation scan: {mismatches}/200 mismatches")
         ok = False
 
+    # run groups precompute their generator states; numpy's own seeding must agree
+    seeds = rng.integers(0, 1 << 64, size=1000, dtype=np.uint64, endpoint=False)
+    bad = seeding.seed_mismatches(seeds)
+    if not bad:
+        print("PASS precomputed generator states match numpy's default_rng on 1000 seeds")
+    else:
+        print(f"FAIL precomputed generator states: {len(bad)}/1000 seeds differ from numpy "
+              f"{np.__version__}'s default_rng, first {bad[0]}")
+        ok = False
+
     return 0 if ok else 1
 
 
@@ -403,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=desc)
         p.add_argument("--config", required=True, help="JSON experiment config")
         _add_override_flags(p)
-    sub.add_parser("check", help="run gradient and aggregation self-tests")
+    sub.add_parser("check", help="run gradient, aggregation and seeding self-tests")
     return parser
 
 

@@ -195,7 +195,7 @@ def take(ds: Dataset, indices: np.ndarray) -> Dataset:
 
 
 def sample_macrobatch(
-    ds: Dataset, k: int, u: int, mode: str, step_seed: int
+    ds: Dataset, k: int, u: int, mode: str, step_seed: int | np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Draw k pairwise-disjoint microbatches of size u as one macrobatch.
 
@@ -203,8 +203,10 @@ def sample_macrobatch(
     (k, u, d) features and (k, u) labels; row i of each is microbatch i.
     Stratified mode draws u / num_classes samples per class per microbatch
     (u must divide evenly), so all k microbatches share one class histogram.
-    Uniform mode draws k*u distinct rows and chunks them. Deterministic
-    given step_seed. Features and labels are gathered once, as contiguous
+    Uniform mode draws k*u distinct rows and chunks them. step_seed is a
+    seed or a Generator, drawn from as np.random.default_rng(step_seed)
+    returns it, so a seed and a Generator in the state it builds draw the
+    same picks. Features and labels are gathered once, as contiguous
     arrays. The checks and bounds of a (k, u, mode) shape are made once per
     dataset, in ds.sampling_plans.
     """

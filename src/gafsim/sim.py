@@ -5,6 +5,8 @@ snapshot of the parameters; there is no wire protocol. Every source of
 randomness (dataset generation, label noise, train/val split, per-step
 sampling, pivot draws, initialization) derives from master_seed through a
 splitmix64 chain, so runs are bit-reproducible from master_seed alone.
+Step t samples from np.random.default_rng(step seed t): a group computes
+every step's PCG64 state up front and sets one reused generator to it.
 Configs that share the data, seed and macrobatch shape run as one group in
 lockstep (run_detailed), drawing each macrobatch and pivot once for all of
 them. A group builds one GradBlock: the legs' (L, P) parameter rows and
@@ -33,6 +35,7 @@ from .aggregate import (  # noqa: F401
 from .data import Dataset, DataConfig, make_dataset, sample_macrobatch, take
 from .models import GradBlock, ModelSpec, accuracy, init_params, loss_and_grad
 from .optim import OptimState, init_optim, plateau_update, sgd_step, skip_step
+from .seeding import pcg64_state, seed_words
 from .telemetry import StepRecord, summarize
 
 AGG_AVERAGING = "avg"
@@ -53,7 +56,8 @@ _TAG_PIVOT = 6
 GROUP_FIELDS = ("model", "data", "k", "u", "sampling", "val_fraction", "master_seed", "steps")
 
 
-def _splitmix64(x: int) -> int:
+def _splitmix64(x):
+    """One splitmix64 round on a 64-bit int, or on each element of a uint64 array."""
     x = (x + 0x9E3779B97F4A7C15) & _U64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _U64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _U64
@@ -221,7 +225,11 @@ def run_detailed(cfgs: Sequence[RunConfig]) -> list[RunResult]:
     # averaging is the scan with every candidate admitted: tau 2 from pivot 0
     taus = [cfg.tau if g else 2.0 for cfg, g in zip(legs, gaf)]
     fixed = [cfg.pivot if g else 0 for cfg, g in zip(legs, gaf)]
-    draws_pivot = None in fixed
+    # at k <= 2 a pivot cannot change a record (p + c == c + p, and the scan's products
+    # and norm product commute), so none is drawn and pivot 0 stands in
+    draws_pivot = k > 2 and None in fixed
+    if not draws_pivot:
+        fixed = [0 if p is None else p for p in fixed]
     decay = np.array([cfg.weight_decay for cfg in legs])
     # every step's gradients land in this one block, and its scan works in these
     # buffers, so no step frees and re-faults their pages; leg i's rows are views
@@ -230,19 +238,33 @@ def run_detailed(cfgs: Sequence[RunConfig]) -> list[RunResult]:
     grads = np.empty((len(legs), k, init.size))
     block = GradBlock(np.tile(init, (len(legs), 1)), spec, decay, grads)
     work = scan_work(*grads.shape)
-    # derive_seed(master, tag, t) is one more splitmix64 round on derive_seed(master, tag)
-    step_base, pivot_base = derive_seed(master, _TAG_STEP), derive_seed(master, _TAG_PIVOT)
+    # step t's macrobatch (and pivot) generator is default_rng(derive_seed(master, tag, t)),
+    # one more splitmix64 round on derive_seed(master, tag). Every step's PCG64 seed words
+    # are computed here in one numpy pass, and each step sets one reused generator to them.
+    ts = np.arange(1, first.steps + 1, dtype=np.uint64)
+    step_seeds = _splitmix64(ts ^ np.uint64(derive_seed(master, _TAG_STEP)))
+    step_words = seed_words(step_seeds)
+    first_seed = int(step_seeds[0])
+    if pcg64_state(step_words[0].tolist()) != np.random.default_rng(first_seed).bit_generator.state:
+        raise RuntimeError(f"numpy {np.__version__} seeds default_rng({first_seed}) with a "
+                           "state other than the one gafsim precomputes for it")
+    pivot_words = (seed_words(_splitmix64(ts ^ np.uint64(derive_seed(master, _TAG_PIVOT))))
+                   if draws_pivot else None)
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
 
     # a diverging run overflows (weights' squares, a dot product) before a guard in
     # loss_and_grad or the agreement scan raises for it: that raise is all it prints
     # (set once per group, as an errstate per loss_and_grad call measured slower)
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, first.steps + 1):
-            _, features, labels = sample_macrobatch(
-                train, k, first.u, first.sampling, _splitmix64(step_base ^ t)
-            )
-            drawn = draw_pivot(k, _splitmix64(pivot_base ^ t)) if draws_pivot else None
-            pivots = [drawn if p is None else p for p in fixed]
+            bitgen.state = pcg64_state(step_words[t - 1].tolist())
+            _, features, labels = sample_macrobatch(train, k, first.u, first.sampling, rng)
+            pivots = fixed
+            if draws_pivot:
+                bitgen.state = pcg64_state(pivot_words[t - 1].tolist())
+                drawn = draw_pivot(k, rng)
+                pivots = [drawn if p is None else p for p in fixed]
             # every leg's k micro-gradients in one call, then every leg's scan in one:
             # losses[i], grads[i] and outcomes[i] are leg i's
             try:

@@ -7,9 +7,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from gafsim import cli, sim
+from gafsim import cli, seeding, sim
 from gafsim.cli import load_experiment, main
 from gafsim.data import DataConfig
 from gafsim.models import ModelSpec
@@ -746,8 +747,18 @@ class TestCheckCommand:
     def test_self_tests_pass(self, capsys):
         assert main(["check"]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 4
+        assert out.count("PASS") == 5
         assert "FAIL" not in out
+        assert "PASS precomputed generator states match numpy's default_rng on 1000 seeds" in out
+
+    def test_a_seeding_mismatch_fails(self, capsys, monkeypatch):
+        # a numpy whose default_rng builds other states than the ones run groups precompute
+        monkeypatch.setattr(seeding, "pcg64_state", lambda words: {})
+        assert main(["check"]) == 1
+        out = capsys.readouterr().out
+        assert out.count("PASS") == 4
+        assert ("FAIL precomputed generator states: 1000/1000 seeds differ from numpy "
+                f"{np.__version__}'s default_rng, first ") in out
 
     def test_module_entry_point(self, tmp_path):
         # `python -m gafsim check` from a source checkout, outside the repo
@@ -756,4 +767,4 @@ class TestCheckCommand:
         proc = subprocess.run([sys.executable, "-m", "gafsim", "check"], cwd=tmp_path, env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.count("PASS") == 4
+        assert proc.stdout.count("PASS") == 5

@@ -3,9 +3,9 @@ import re
 import numpy as np
 import pytest
 
-from gafsim.aggregate import agreement_scan
-from gafsim.data import DataConfig, sample_macrobatch
-from gafsim import sim
+from gafsim.aggregate import agreement_scan, draw_pivot
+from gafsim.data import STRATIFIED, UNIFORM, DataConfig, make_dataset, sample_macrobatch
+from gafsim import seeding, sim
 from gafsim.models import MLP1, SOFTMAX_LINEAR, ModelSpec, init_params, loss_and_grad
 from gafsim.sim import (
     _TAG_INIT,
@@ -590,6 +590,83 @@ class TestRunGroups:
             run_detailed(base_cfg())
         with pytest.raises(ValueError, match="at least one"):
             run_detailed([])
+
+
+class TestPrecomputedGenerators:
+    """A run group computes every step's generator state up front; each must be the
+    state np.random.default_rng(seed) builds, so every draw stays as it was."""
+
+    EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+    def test_states_equal_default_rng(self):
+        seeds = np.array(self.EDGE_SEEDS, dtype=np.uint64)
+        seeds = np.concatenate([seeds, np.random.default_rng(2024).integers(
+            0, 1 << 64, size=2000, dtype=np.uint64, endpoint=False)])
+        words = seeding.seed_words(seeds)
+        assert words.shape == (seeds.size, 4) and words.dtype == np.uint64
+        for seed, row in zip(seeds.tolist(), words.tolist()):
+            assert seeding.pcg64_state(row) == np.random.default_rng(seed).bit_generator.state
+        assert seeding.seed_mismatches(seeds) == []
+
+    def test_vectorized_splitmix64_equals_the_int_one(self):
+        xs = self.EDGE_SEEDS + [derive_seed(123, _TAG_STEP) ^ t for t in range(1, 50)]
+        assert sim._splitmix64(np.array(xs, dtype=np.uint64)).tolist() == [
+            sim._splitmix64(x) for x in xs]
+
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    def test_sampler_and_pivot_take_a_seed_or_its_generator(self, seed):
+        ds = make_dataset(DATA, seed=5)
+        for k, u, mode in [(2, 5, STRATIFIED), (3, 10, STRATIFIED), (4, 7, UNIFORM)]:
+            by_seed = sample_macrobatch(ds, k, u, mode, seed)
+            by_rng = sample_macrobatch(ds, k, u, mode, np.random.default_rng(seed))
+            assert all(np.array_equal(a, b) for a, b in zip(by_seed, by_rng))
+        for k in (1, 3, 7):
+            assert draw_pivot(k, seed) == draw_pivot(k, np.random.default_rng(seed))
+
+    def test_a_numpy_that_seeds_otherwise_fails_the_group(self, monkeypatch):
+        monkeypatch.setattr(sim, "seed_words",
+                            lambda seeds: np.zeros((seeds.size, 4), dtype=np.uint64))
+        seed = sim._splitmix64(derive_seed(123, _TAG_STEP) ^ 1)
+        with pytest.raises(RuntimeError,
+                           match=rf"numpy {re.escape(np.__version__)} seeds default_rng\({seed}\)"):
+            run_detailed([base_cfg()])
+
+
+class TestPivotAtTwoWorkers:
+    """At k = 2 the pivot cannot change a record, so no pivot is drawn; from k = 3
+    a leg with pivot None draws one per step."""
+
+    @pytest.mark.parametrize("cfg", [replace(CLUSTER, aggregator="gaf", tau=0.97),
+                                     replace(NOISE_SWEEP_CELL, steps=300)],
+                             ids=["cluster", "white-noise"])
+    def test_records_and_params_equal_for_every_pivot(self, cfg, tmp_path):
+        results = [run_detailed([replace(cfg, pivot=p)])[0] for p in (None, 0, 1)]
+        records = {records_bytes(r.records, tmp_path, "pivot") for r in results}
+        assert len(records) == 1 and len({r.params.tobytes() for r in results}) == 1
+        # both kinds of step happen, so a pivot had outcomes to move
+        assert 0 < results[0].opt.skip_count < cfg.steps
+
+    def count_draws(self, monkeypatch):
+        calls = []
+
+        def counting(k, seed):
+            calls.append(k)
+            return draw_pivot(k, seed)
+
+        monkeypatch.setattr(sim, "draw_pivot", counting)
+        return calls
+
+    def test_no_draw_at_two_workers(self, monkeypatch):
+        calls = self.count_draws(monkeypatch)
+        cfg = base_cfg(k=2, steps=30, aggregator="gaf", tau=0.9)
+        run_detailed([cfg, replace(cfg, pivot=1), replace(cfg, aggregator="avg")])
+        assert calls == []
+
+    def test_one_draw_per_step_from_three_workers(self, monkeypatch):
+        calls = self.count_draws(monkeypatch)
+        cfg = base_cfg(k=3, steps=30, aggregator="gaf", tau=0.9)
+        run_detailed([cfg, replace(cfg, pivot=2), replace(cfg, aggregator="avg")])
+        assert calls == [3] * 30
 
 
 class TestGoldenDigests:
